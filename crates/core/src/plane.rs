@@ -59,16 +59,6 @@ use csfma_carrysave::CsNumber;
 use csfma_softfloat::{FpClass, SoftFloat};
 use csfma_units::exponent::BiasedExp;
 use csfma_units::rounding::round_up_from_block;
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Test-only sabotage switch: when armed, the next [`plane_fma_chunk`]
-/// call flips one bit of one result bit-plane word (lane 0, mantissa
-/// sum bit 0) after the block select. The golden-vector suite arms this
-/// to prove it would catch a plane-kernel defect; never set in
-/// production code.
-#[doc(hidden)]
-pub static CORRUPT_NEXT_PLANE_WORD: AtomicBool = AtomicBool::new(false);
-
 /// One armed plane-kernel fault, consumed by the next
 /// [`plane_fma_chunk`] call on this thread (DESIGN.md §10.5).
 ///
@@ -728,9 +718,6 @@ pub fn plane_fma_chunk(
             }
         }
     }
-    if CORRUPT_NEXT_PLANE_WORD.swap(false, Ordering::Relaxed) {
-        s.res_s[0] ^= 1;
-    }
 
     // ---- untranspose + scalar postamble ----
     let mut res_s_l: Vec<Bits> = Vec::new();
@@ -872,9 +859,11 @@ mod tests {
         }
     }
 
-    /// The armed corruption hook must change exactly the targeted lane.
+    /// An armed plane strike must change exactly the targeted lane, and
+    /// be consumed by the call it was armed for.
+    #[cfg(feature = "fault-inject")]
     #[test]
-    fn corruption_hook_flips_lane_zero() {
+    fn plane_strike_flips_lane_zero() {
         let fmt = CsFmaFormat::PCS_55_ZD;
         let unit = CsFmaUnit::new(fmt);
         let mut scratch = PlaneScratch::default();
@@ -886,8 +875,13 @@ mod tests {
             plane_fma_chunk(&unit, &mut bank, 0, 2, 4, &b, 2, &mut scratch);
             (bank[4].clone(), bank[5].clone())
         };
-        CORRUPT_NEXT_PLANE_WORD.store(true, Ordering::Relaxed);
+        arm_plane_strikes(&[PlaneStrike {
+            site: crate::fault::FaultSite::PlaneCsaWord,
+            lane: 0,
+            sel: 0,
+        }]);
         plane_fma_chunk(&unit, &mut bank, 0, 2, 4, &b, 2, &mut scratch);
+        assert_eq!(disarm_plane_strikes(), 0, "strike was never consumed");
         assert_ne!(
             bank[4].mant().sum(),
             clean.0.mant().sum(),

@@ -19,16 +19,18 @@
 //!   encoding ([`compile_cached`]), so repeated evaluation requests for
 //!   the same datapath skip recompilation entirely.
 //!
-//! Two backends execute the tape:
-//!
-//! * [`TapeBackend::F64`] reproduces [`eval_f64`](crate::interp::eval_f64)
-//!   bit for bit (host doubles, fused nodes as `mul_add`);
-//! * [`TapeBackend::BitAccurate`] reproduces
-//!   [`eval_bit_accurate`](crate::interp::eval_bit_accurate) bit for bit.
-//!   IEEE nodes run on the **host FPU** through the guarded fast path of
-//!   [`csfma_softfloat::batch`] (soft-float semantics at host speed — see
-//!   that module for the equivalence argument); fused nodes still run the
-//!   behavioral carry-save units, which *are* the model.
+//! One interpreter executes the tape: an instruction-major loop over a
+//! chunk of up to [`CHUNK_ROWS`] rows, generic over three semantics —
+//! host doubles (reproducing [`eval_f64`](crate::interp::eval_f64) bit
+//! for bit), bit-accurate (reproducing
+//! [`eval_bit_accurate`](crate::interp::eval_bit_accurate) with IEEE
+//! nodes on the **host FPU** through the guarded fast path of
+//! [`csfma_softfloat::batch`] and fused nodes on the behavioral
+//! carry-save units, which *are* the model, on full chunks through the
+//! bit-plane kernel), and the oracle (the pure soft-float stack). A row
+//! is a chunk of length 1. [`TapeBackend`] picks the semantics; its
+//! `Jit` backend runs native code with the bit-accurate semantics as
+//! its bailout path.
 //!
 //! [`Tape::eval_batch`] evaluates many input vectors with deterministic
 //! chunked work distribution
@@ -46,8 +48,10 @@ use crate::interp::format_of;
 use crate::lint::{lint_dataflow, lint_schedule};
 use crate::opt::{optimize_graph, OptStats};
 use crate::profile;
+use crate::robust::ChunkFaults;
 use crate::sched::{OpTiming, ResourceLimits, Schedule};
 use csfma_core::batch::{par_chunks_indexed, CHUNK_ROWS};
+use csfma_core::fault::{FaultDetected, FmaCtl};
 use csfma_core::{CsFmaFormat, CsFmaUnit, CsOperand, FmaScratch, PlaneScratch};
 use csfma_obs::Profiler;
 use csfma_softfloat::batch as sfb;
@@ -281,37 +285,34 @@ pub struct Tape {
     pub(crate) jit: OnceLock<Option<Arc<crate::jit::JitModule>>>,
 }
 
-/// Reusable per-worker register file for tape execution. One scratch per
-/// thread amortizes the carry-save slot allocations over a whole batch.
+/// Reusable per-worker register file for tape execution: each register
+/// slot is a plane of [`CHUNK_ROWS`] contiguous lanes, evaluated
+/// column-wise one instruction at a time ([`Tape::eval_row`] uses lane
+/// 0). One scratch per worker amortizes the carry-save slot and working
+/// buffer allocations over a whole batch.
 #[derive(Clone, Debug)]
 pub struct TapeScratch {
     pub(crate) f: Vec<f64>,
     pub(crate) cs: Vec<CsOperand>,
-    // the f64 backend models CS-domain values as plain doubles
+    // the f64 semantics models CS-domain values as plain doubles
     // (conversions are wiring there), so it shadows the CS bank here
     pub(crate) cs_f: Vec<f64>,
-    pub(crate) pcs: CsFmaUnit,
-    pub(crate) fcs: CsFmaUnit,
-    pub(crate) fma: FmaScratch,
+    pub(crate) units: Units,
 }
 
-/// Per-worker structure-of-arrays register file for chunked batch
-/// execution: each register slot becomes a plane of [`CHUNK_ROWS`]
-/// contiguous lanes, evaluated column-wise one instruction at a time.
+/// The fused-datapath state of a [`TapeScratch`]: the two behavioral
+/// units, their shared working storage, the bit-plane kernel's scratch
+/// and its per-chunk B-lane latch.
 #[derive(Clone, Debug)]
-pub(crate) struct ChunkScratch {
-    pub(crate) f: Vec<f64>,
-    pub(crate) cs: Vec<CsOperand>,
-    pub(crate) cs_f: Vec<f64>,
-    pub(crate) pcs: CsFmaUnit,
-    pub(crate) fcs: CsFmaUnit,
-    pub(crate) fma: FmaScratch,
-    // bit-plane kernel working storage + the per-chunk B-lane latch
-    pub(crate) plane: PlaneScratch,
-    pub(crate) b_lane: Vec<SoftFloat>,
+pub(crate) struct Units {
+    pcs: CsFmaUnit,
+    fcs: CsFmaUnit,
+    fma: FmaScratch,
+    plane: PlaneScratch,
+    b_lane: Vec<SoftFloat>,
 }
 
-/// Process-wide recycling pool for [`ChunkScratch`] register files.
+/// Process-wide recycling pool for [`TapeScratch`] register files.
 ///
 /// The work-stealing scheduler builds one scratch per participating
 /// worker per job; without a pool that is a fresh set of register-plane
@@ -322,25 +323,25 @@ pub(crate) struct ChunkScratch {
 /// `crates/verify/src/tape.rs`), so stale contents can never reach an
 /// output byte — which is also why recycling across *different* tapes is
 /// sound.
-static CHUNK_SCRATCH_POOL: Mutex<Vec<ChunkScratch>> = Mutex::new(Vec::new());
+static CHUNK_SCRATCH_POOL: Mutex<Vec<TapeScratch>> = Mutex::new(Vec::new());
 
 /// Retained-scratch cap: two full worker complements
 /// (`2 × csfma_core::batch::MAX_WORKERS`).
 const SCRATCH_POOL_CAP: usize = 2 * csfma_core::batch::MAX_WORKERS;
 
-/// A [`ChunkScratch`] on loan from [`CHUNK_SCRATCH_POOL`]; returns
+/// A [`TapeScratch`] on loan from [`CHUNK_SCRATCH_POOL`]; returns
 /// itself to the pool on drop (when the pool is below its cap).
-pub(crate) struct PooledChunkScratch(Option<ChunkScratch>);
+pub(crate) struct PooledChunkScratch(Option<TapeScratch>);
 
 impl std::ops::Deref for PooledChunkScratch {
-    type Target = ChunkScratch;
-    fn deref(&self) -> &ChunkScratch {
+    type Target = TapeScratch;
+    fn deref(&self) -> &TapeScratch {
         self.0.as_ref().expect("scratch taken")
     }
 }
 
 impl std::ops::DerefMut for PooledChunkScratch {
-    fn deref_mut(&mut self) -> &mut ChunkScratch {
+    fn deref_mut(&mut self) -> &mut TapeScratch {
         self.0.as_mut().expect("scratch taken")
     }
 }
@@ -986,22 +987,15 @@ impl Tape {
         self.plane_eligible.iter().filter(|&&p| p).count()
     }
 
-    /// A fresh register file sized for this tape. Reuse it across rows;
+    /// A register file sized for this tape. Reuse it across rows;
     /// [`Tape::eval_batch`] keeps one per worker.
     pub fn scratch(&self) -> TapeScratch {
-        TapeScratch {
-            f: vec![0.0; self.n_f64_regs],
-            cs: vec![CsOperand::zero(self.pcs_format, false); self.n_cs_regs],
-            cs_f: vec![0.0; self.n_cs_regs],
-            pcs: CsFmaUnit::new(self.pcs_format),
-            fcs: CsFmaUnit::new(self.fcs_format),
-            fma: FmaScratch::default(),
-        }
+        self.chunk_scratch().0.take().expect("fresh loan")
     }
 
-    /// A structure-of-arrays register file for this tape, recycled from
-    /// the process-wide scratch pool when one is available. Sizing the
-    /// banks with `resize` keeps a recycled scratch's capacity (and its
+    /// A register file for this tape, recycled from the process-wide
+    /// scratch pool when one is available. Sizing the banks with
+    /// `resize` keeps a recycled scratch's capacity (and its
     /// `FmaScratch`/`PlaneScratch` working buffers) across jobs and
     /// across tapes; contents are left dirty — see
     /// [`CHUNK_SCRATCH_POOL`] for why that is sound.
@@ -1010,15 +1004,17 @@ impl Tape {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .pop();
-        let mut s = recycled.unwrap_or_else(|| ChunkScratch {
+        let mut s = recycled.unwrap_or_else(|| TapeScratch {
             f: Vec::new(),
             cs: Vec::new(),
             cs_f: Vec::new(),
-            pcs: CsFmaUnit::new(self.pcs_format),
-            fcs: CsFmaUnit::new(self.fcs_format),
-            fma: FmaScratch::default(),
-            plane: PlaneScratch::default(),
-            b_lane: Vec::new(),
+            units: Units {
+                pcs: CsFmaUnit::new(self.pcs_format),
+                fcs: CsFmaUnit::new(self.fcs_format),
+                fma: FmaScratch::default(),
+                plane: PlaneScratch::default(),
+                b_lane: Vec::new(),
+            },
         });
         s.f.resize(self.n_f64_regs * CHUNK_ROWS, 0.0);
         s.cs_f.resize(self.n_cs_regs * CHUNK_ROWS, 0.0);
@@ -1026,13 +1022,14 @@ impl Tape {
             self.n_cs_regs * CHUNK_ROWS,
             CsOperand::zero(self.pcs_format, false),
         );
-        s.pcs = CsFmaUnit::new(self.pcs_format);
-        s.fcs = CsFmaUnit::new(self.fcs_format);
+        s.units.pcs = CsFmaUnit::new(self.pcs_format);
+        s.units.fcs = CsFmaUnit::new(self.fcs_format);
         PooledChunkScratch(Some(s))
     }
 
     /// Evaluate one input row (`row.len() == num_inputs()`) into `out`
-    /// (`out.len() == num_outputs()`).
+    /// (`out.len() == num_outputs()`): the chunk interpreter with one
+    /// lane.
     pub fn eval_row(
         &self,
         backend: TapeBackend,
@@ -1043,191 +1040,14 @@ impl Tape {
         assert_eq!(row.len(), self.inputs.len(), "row arity mismatch");
         assert_eq!(out.len(), self.outputs.len(), "output arity mismatch");
         match backend {
-            TapeBackend::F64 => self.eval_row_f64(row, out, scratch),
+            TapeBackend::F64 => self.run_chunk::<F64>(row, 0, 1, out, scratch, None),
             // row-granular jit evaluation buys nothing (the native call
             // and the per-row interpreter cost the same dispatch); the
             // bit path IS the jit backend's semantics
-            TapeBackend::BitAccurate | TapeBackend::Jit => self.eval_row_bit(row, out, scratch),
-            TapeBackend::Oracle => self.eval_row_oracle(row, out, scratch),
-        }
-    }
-
-    fn eval_row_f64(&self, row: &[f64], out: &mut [f64], s: &mut TapeScratch) {
-        let f = &mut s.f;
-        let cs_f = &mut s.cs_f;
-        for ins in &self.instrs {
-            match *ins {
-                Instr::LoadInput { dst, input } => f[dst as usize] = row[input as usize],
-                Instr::LoadConst { dst, idx } => f[dst as usize] = self.consts[idx as usize],
-                Instr::Add { dst, a, b } => f[dst as usize] = f[a as usize] + f[b as usize],
-                Instr::Sub { dst, a, b } => f[dst as usize] = f[a as usize] - f[b as usize],
-                Instr::Mul { dst, a, b } => f[dst as usize] = f[a as usize] * f[b as usize],
-                Instr::Div { dst, a, b } => f[dst as usize] = f[a as usize] / f[b as usize],
-                Instr::Neg { dst, a } => f[dst as usize] = -f[a as usize],
-                Instr::Fma {
-                    negate_b,
-                    dst,
-                    acc,
-                    b,
-                    mulc,
-                    ..
-                } => {
-                    let bv = if negate_b {
-                        -f[b as usize]
-                    } else {
-                        f[b as usize]
-                    };
-                    cs_f[dst as usize] = bv.mul_add(cs_f[mulc as usize], cs_f[acc as usize]);
-                }
-                Instr::IeeeToCs { dst, src, .. } => cs_f[dst as usize] = f[src as usize],
-                Instr::CsToIeee { dst, src } => f[dst as usize] = cs_f[src as usize],
-                Instr::Store { output, src } => out[output as usize] = f[src as usize],
+            TapeBackend::BitAccurate | TapeBackend::Jit => {
+                self.run_chunk::<Bit>(row, 0, 1, out, scratch, None)
             }
-        }
-    }
-
-    fn eval_row_bit(&self, row: &[f64], out: &mut [f64], s: &mut TapeScratch) {
-        let f = &mut s.f;
-        let cs = &mut s.cs;
-        let promoted = |i: usize| self.promoted.get(i).copied().unwrap_or(false);
-        for (i, ins) in self.instrs.iter().enumerate() {
-            match *ins {
-                Instr::LoadInput { dst, input } => {
-                    f[dst as usize] = sfb::canonicalize(row[input as usize])
-                }
-                Instr::LoadConst { dst, idx } => {
-                    f[dst as usize] = self.consts_canonical[idx as usize]
-                }
-                Instr::Add { dst, a, b } => {
-                    f[dst as usize] = if promoted(i) {
-                        f[a as usize] + f[b as usize]
-                    } else {
-                        sfb::hosted_add(f[a as usize], f[b as usize])
-                    }
-                }
-                Instr::Sub { dst, a, b } => {
-                    f[dst as usize] = if promoted(i) {
-                        f[a as usize] - f[b as usize]
-                    } else {
-                        sfb::hosted_sub(f[a as usize], f[b as usize])
-                    }
-                }
-                Instr::Mul { dst, a, b } => {
-                    f[dst as usize] = if promoted(i) {
-                        f[a as usize] * f[b as usize]
-                    } else {
-                        sfb::hosted_mul(f[a as usize], f[b as usize])
-                    }
-                }
-                Instr::Div { dst, a, b } => {
-                    f[dst as usize] = if promoted(i) {
-                        f[a as usize] / f[b as usize]
-                    } else {
-                        sfb::hosted_div(f[a as usize], f[b as usize])
-                    }
-                }
-                Instr::Neg { dst, a } => {
-                    f[dst as usize] = if promoted(i) {
-                        -f[a as usize]
-                    } else {
-                        sfb::hosted_neg(f[a as usize])
-                    }
-                }
-                Instr::Fma {
-                    kind,
-                    negate_b,
-                    dst,
-                    acc,
-                    b,
-                    mulc,
-                } => {
-                    let unit = match kind {
-                        FmaKind::Pcs => &s.pcs,
-                        FmaKind::Fcs => &s.fcs,
-                    };
-                    let mut bv = SoftFloat::from_f64(F, f[b as usize]);
-                    if negate_b {
-                        bv = bv.neg();
-                    }
-                    let r = unit.fma_with(&cs[acc as usize], &bv, &cs[mulc as usize], &mut s.fma);
-                    cs[dst as usize] = r;
-                }
-                Instr::IeeeToCs { kind, dst, src } => {
-                    let fmt = match kind {
-                        FmaKind::Pcs => self.pcs_format,
-                        FmaKind::Fcs => self.fcs_format,
-                    };
-                    cs[dst as usize] = CsOperand::from_f64(f[src as usize], fmt);
-                }
-                Instr::CsToIeee { dst, src } => {
-                    f[dst as usize] = cs[src as usize].to_ieee(F, Round::NearestEven).to_f64();
-                }
-                Instr::Store { output, src } => out[output as usize] = f[src as usize],
-            }
-        }
-    }
-
-    /// Oracle row evaluation: every IEEE operator runs the full
-    /// soft-float stack (no hosted fast paths, no shared [`FmaScratch`]),
-    /// fused nodes call the allocating [`CsFmaUnit::fma`] entry point —
-    /// the slowest, most literal replay of the model, structurally
-    /// independent of the scratch-based executors it backstops.
-    fn eval_row_oracle(&self, row: &[f64], out: &mut [f64], s: &mut TapeScratch) {
-        let sf = |v: f64| SoftFloat::from_f64(F, v);
-        let f = &mut s.f;
-        let cs = &mut s.cs;
-        for ins in &self.instrs {
-            match *ins {
-                Instr::LoadInput { dst, input } => {
-                    f[dst as usize] = sf(row[input as usize]).to_f64()
-                }
-                Instr::LoadConst { dst, idx } => {
-                    f[dst as usize] = sf(self.consts[idx as usize]).to_f64()
-                }
-                Instr::Add { dst, a, b } => {
-                    f[dst as usize] = sf(f[a as usize]).add(&sf(f[b as usize])).to_f64()
-                }
-                Instr::Sub { dst, a, b } => {
-                    f[dst as usize] = sf(f[a as usize]).sub(&sf(f[b as usize])).to_f64()
-                }
-                Instr::Mul { dst, a, b } => {
-                    f[dst as usize] = sf(f[a as usize]).mul(&sf(f[b as usize])).to_f64()
-                }
-                Instr::Div { dst, a, b } => {
-                    f[dst as usize] = sf(f[a as usize]).div(&sf(f[b as usize])).to_f64()
-                }
-                Instr::Neg { dst, a } => f[dst as usize] = sf(f[a as usize]).neg().to_f64(),
-                Instr::Fma {
-                    kind,
-                    negate_b,
-                    dst,
-                    acc,
-                    b,
-                    mulc,
-                } => {
-                    let unit = match kind {
-                        FmaKind::Pcs => &s.pcs,
-                        FmaKind::Fcs => &s.fcs,
-                    };
-                    let mut bv = sf(f[b as usize]);
-                    if negate_b {
-                        bv = bv.neg();
-                    }
-                    let r = unit.fma(&cs[acc as usize], &bv, &cs[mulc as usize]);
-                    cs[dst as usize] = r;
-                }
-                Instr::IeeeToCs { kind, dst, src } => {
-                    let fmt = match kind {
-                        FmaKind::Pcs => self.pcs_format,
-                        FmaKind::Fcs => self.fcs_format,
-                    };
-                    cs[dst as usize] = CsOperand::from_ieee(&sf(f[src as usize]), fmt);
-                }
-                Instr::CsToIeee { dst, src } => {
-                    f[dst as usize] = cs[src as usize].to_ieee(F, Round::NearestEven).to_f64();
-                }
-                Instr::Store { output, src } => out[output as usize] = f[src as usize],
-            }
+            TapeBackend::Oracle => self.run_chunk::<Oracle>(row, 0, 1, out, scratch, None),
         }
     }
 
@@ -1287,13 +1107,16 @@ impl Tape {
         base: usize,
         len: usize,
         chunk: &mut [f64],
-        scratch: &mut ChunkScratch,
+        scratch: &mut TapeScratch,
     ) {
         profile::record_chunk_occupancy(len, CHUNK_ROWS);
         match backend {
-            TapeBackend::F64 => self.eval_chunk_f64(rows, base, len, chunk, scratch),
-            TapeBackend::BitAccurate => self.eval_chunk_bit(rows, base, len, chunk, scratch),
-            TapeBackend::Oracle => self.eval_chunk_oracle(rows, base, len, chunk, scratch),
+            TapeBackend::F64 => self.run_chunk::<F64>(rows, base, len, chunk, scratch, None),
+            TapeBackend::BitAccurate => {
+                profile::count_hosted_chunk(&self.instrs, len);
+                self.run_chunk::<Bit>(rows, base, len, chunk, scratch, None)
+            }
+            TapeBackend::Oracle => self.run_chunk::<Oracle>(rows, base, len, chunk, scratch, None),
             TapeBackend::Jit => self.eval_chunk_jit(rows, base, len, chunk, scratch),
         }
     }
@@ -1301,22 +1124,23 @@ impl Tape {
     /// Chunk evaluation on the native JIT module, bit-identical to
     /// [`Tape::eval_chunk`] with [`TapeBackend::BitAccurate`]: each row
     /// runs the emitted function; a row whose bailout guard fires is
-    /// re-evaluated alone on the bit-accurate interpreter (sound
-    /// because chunk lanes are independent — a one-row chunk computes
-    /// exactly what that lane of any chunk computes). With no module at
-    /// all the whole chunk keeps the interpreter and every row counts
-    /// as a bailout.
+    /// re-evaluated alone by `run_chunk::<Bit>` (sound because chunk
+    /// lanes are independent — a one-row chunk computes exactly what
+    /// that lane of any chunk computes). With no module at all the
+    /// whole chunk keeps the interpreter and every row counts as a
+    /// bailout.
     fn eval_chunk_jit(
         &self,
         rows: &[f64],
         base: usize,
         len: usize,
         out: &mut [f64],
-        s: &mut ChunkScratch,
+        s: &mut TapeScratch,
     ) {
         let Some(module) = self.jit_module() else {
             profile::count_jit_chunk(len as u64, len as u64);
-            self.eval_chunk_bit(rows, base, len, out, s);
+            profile::count_hosted_chunk(&self.instrs, len);
+            self.run_chunk::<Bit>(rows, base, len, out, s, None);
             return;
         };
         let module = Arc::clone(module);
@@ -1328,7 +1152,8 @@ impl Tape {
             let dst = &mut out[k * no..(k + 1) * no];
             if !module.run_row(row, dst) {
                 bailouts += 1;
-                self.eval_chunk_bit(rows, base + k, 1, dst, s);
+                profile::count_hosted_chunk(&self.instrs, 1);
+                self.run_chunk::<Bit>(rows, base + k, 1, dst, s, None);
             }
         }
         profile::count_jit_chunk(len as u64, bailouts);
@@ -1443,191 +1268,50 @@ impl Tape {
         out
     }
 
-    /// Column-wise chunk evaluation, host-double semantics. One pass over
-    /// the instruction stream; each instruction runs a branch-free loop
-    /// over the chunk's `len` lanes of its operand planes, so the
-    /// per-instruction dispatch cost is paid once per chunk instead of
-    /// once per row. Lane `k` computes exactly what [`Tape::eval_row`]
-    /// computes for row `base + k` — same operators, same order — so the
-    /// results are bitwise identical to the row loop.
-    fn eval_chunk_f64(
+    /// The tape interpreter: evaluate `len` rows starting at row `base`
+    /// of the row-major `rows` into the row-major `out` under
+    /// semantics `S`. Instruction-major — one pass over the instruction
+    /// stream, each instruction a loop over the chunk's `len` lanes of
+    /// its operand planes — so the per-instruction dispatch is paid once
+    /// per chunk. Lanes are independent: lane `k` computes exactly what
+    /// a one-lane call computes for row `base + k`, which is how
+    /// [`Tape::eval_row`] is this function with `len = 1`.
+    ///
+    /// With `faults`, the run is the robust executor's checked
+    /// evaluation ([`crate::robust`]): fused instructions run the
+    /// self-checking entry point per lane with that lane's armed hook,
+    /// and each lane's register-plane upset is applied after its
+    /// instruction. Without, it is the production path.
+    pub(crate) fn run_chunk<S: Semantics>(
         &self,
         rows: &[f64],
         base: usize,
         len: usize,
         out: &mut [f64],
-        s: &mut ChunkScratch,
+        s: &mut TapeScratch,
+        mut faults: Option<&mut ChunkFaults<'_>>,
     ) {
+        debug_assert!(len <= CHUNK_ROWS, "chunk wider than a register plane");
         let ni = self.inputs.len();
         let no = self.outputs.len();
-        const W: usize = CHUNK_ROWS;
-        let p = |r: u32| r as usize * W;
-        for ins in &self.instrs {
-            match *ins {
-                Instr::LoadInput { dst, input } => {
-                    let d = p(dst);
-                    for k in 0..len {
-                        s.f[d + k] = rows[(base + k) * ni + input as usize];
-                    }
-                }
-                Instr::LoadConst { dst, idx } => {
-                    let v = self.consts[idx as usize];
-                    s.f[p(dst)..p(dst) + len].fill(v);
-                }
-                Instr::Add { dst, a, b } => {
-                    let (d, x, y) = (p(dst), p(a), p(b));
-                    for k in 0..len {
-                        s.f[d + k] = s.f[x + k] + s.f[y + k];
-                    }
-                }
-                Instr::Sub { dst, a, b } => {
-                    let (d, x, y) = (p(dst), p(a), p(b));
-                    for k in 0..len {
-                        s.f[d + k] = s.f[x + k] - s.f[y + k];
-                    }
-                }
-                Instr::Mul { dst, a, b } => {
-                    let (d, x, y) = (p(dst), p(a), p(b));
-                    for k in 0..len {
-                        s.f[d + k] = s.f[x + k] * s.f[y + k];
-                    }
-                }
-                Instr::Div { dst, a, b } => {
-                    let (d, x, y) = (p(dst), p(a), p(b));
-                    for k in 0..len {
-                        s.f[d + k] = s.f[x + k] / s.f[y + k];
-                    }
-                }
-                Instr::Neg { dst, a } => {
-                    let (d, x) = (p(dst), p(a));
-                    for k in 0..len {
-                        s.f[d + k] = -s.f[x + k];
-                    }
-                }
-                Instr::Fma {
-                    negate_b,
-                    dst,
-                    acc,
-                    b,
-                    mulc,
-                    ..
-                } => {
-                    let (d, pa, pb, pm) = (p(dst), p(acc), p(b), p(mulc));
-                    for k in 0..len {
-                        let bv = if negate_b { -s.f[pb + k] } else { s.f[pb + k] };
-                        s.cs_f[d + k] = bv.mul_add(s.cs_f[pm + k], s.cs_f[pa + k]);
-                    }
-                }
-                Instr::IeeeToCs { dst, src, .. } => {
-                    let (d, x) = (p(dst), p(src));
-                    s.cs_f[d..d + len].copy_from_slice(&s.f[x..x + len]);
-                }
-                Instr::CsToIeee { dst, src } => {
-                    let (d, x) = (p(dst), p(src));
-                    s.f[d..d + len].copy_from_slice(&s.cs_f[x..x + len]);
-                }
-                Instr::Store { output, src } => {
-                    let x = p(src);
-                    for k in 0..len {
-                        out[k * no + output as usize] = s.f[x + k];
-                    }
-                }
-            }
-        }
-    }
-
-    /// Column-wise chunk evaluation, bit-accurate semantics: IEEE nodes
-    /// stream through the guarded host fast path of
-    /// [`csfma_softfloat::batch`], fused nodes run the behavioral
-    /// carry-save unit lane by lane with one shared [`FmaScratch`] — the
-    /// compressor-tree row and layer buffers are reused across every lane
-    /// of every FMA in the chunk instead of being reallocated per call.
-    fn eval_chunk_bit(
-        &self,
-        rows: &[f64],
-        base: usize,
-        len: usize,
-        out: &mut [f64],
-        s: &mut ChunkScratch,
-    ) {
-        let ni = self.inputs.len();
-        let no = self.outputs.len();
-        const W: usize = CHUNK_ROWS;
-        let p = |r: u32| r as usize * W;
-        profile::count_hosted_chunk(&self.instrs, len);
-        let promoted = |i: usize| self.promoted.get(i).copied().unwrap_or(false);
+        let p = |r: u32| r as usize * CHUNK_ROWS;
+        let (f, cs, units) = S::Cs::banks(s);
         for (i, ins) in self.instrs.iter().enumerate() {
             match *ins {
                 Instr::LoadInput { dst, input } => {
                     let d = p(dst);
                     for k in 0..len {
-                        s.f[d + k] = sfb::canonicalize(rows[(base + k) * ni + input as usize]);
+                        f[d + k] = S::input(rows[(base + k) * ni + input as usize]);
                     }
                 }
                 Instr::LoadConst { dst, idx } => {
-                    let v = self.consts_canonical[idx as usize];
-                    s.f[p(dst)..p(dst) + len].fill(v);
+                    f[p(dst)..p(dst) + len].fill(S::input(self.consts[idx as usize]));
                 }
-                Instr::Add { dst, a, b } => {
-                    let (d, x, y) = (p(dst), p(a), p(b));
-                    if promoted(i) {
-                        for k in 0..len {
-                            s.f[d + k] = s.f[x + k] + s.f[y + k];
-                        }
-                    } else {
-                        for k in 0..len {
-                            s.f[d + k] = sfb::hosted_add(s.f[x + k], s.f[y + k]);
-                        }
-                    }
-                }
-                Instr::Sub { dst, a, b } => {
-                    let (d, x, y) = (p(dst), p(a), p(b));
-                    if promoted(i) {
-                        for k in 0..len {
-                            s.f[d + k] = s.f[x + k] - s.f[y + k];
-                        }
-                    } else {
-                        for k in 0..len {
-                            s.f[d + k] = sfb::hosted_sub(s.f[x + k], s.f[y + k]);
-                        }
-                    }
-                }
-                Instr::Mul { dst, a, b } => {
-                    let (d, x, y) = (p(dst), p(a), p(b));
-                    if promoted(i) {
-                        for k in 0..len {
-                            s.f[d + k] = s.f[x + k] * s.f[y + k];
-                        }
-                    } else {
-                        for k in 0..len {
-                            s.f[d + k] = sfb::hosted_mul(s.f[x + k], s.f[y + k]);
-                        }
-                    }
-                }
-                Instr::Div { dst, a, b } => {
-                    let (d, x, y) = (p(dst), p(a), p(b));
-                    if promoted(i) {
-                        for k in 0..len {
-                            s.f[d + k] = s.f[x + k] / s.f[y + k];
-                        }
-                    } else {
-                        for k in 0..len {
-                            s.f[d + k] = sfb::hosted_div(s.f[x + k], s.f[y + k]);
-                        }
-                    }
-                }
-                Instr::Neg { dst, a } => {
-                    let (d, x) = (p(dst), p(a));
-                    if promoted(i) {
-                        for k in 0..len {
-                            s.f[d + k] = -s.f[x + k];
-                        }
-                    } else {
-                        for k in 0..len {
-                            s.f[d + k] = sfb::hosted_neg(s.f[x + k]);
-                        }
-                    }
-                }
+                Instr::Add { dst, a, b } => self.ieee::<S>(i, IeeeOp::Add, f, [dst, a, b], len),
+                Instr::Sub { dst, a, b } => self.ieee::<S>(i, IeeeOp::Sub, f, [dst, a, b], len),
+                Instr::Mul { dst, a, b } => self.ieee::<S>(i, IeeeOp::Mul, f, [dst, a, b], len),
+                Instr::Div { dst, a, b } => self.ieee::<S>(i, IeeeOp::Div, f, [dst, a, b], len),
+                Instr::Neg { dst, a } => self.ieee::<S>(i, IeeeOp::Neg, f, [dst, a, a], len),
                 Instr::Fma {
                     kind,
                     negate_b,
@@ -1636,41 +1320,16 @@ impl Tape {
                     b,
                     mulc,
                 } => {
-                    let unit = match kind {
-                        FmaKind::Pcs => &s.pcs,
-                        FmaKind::Fcs => &s.fcs,
+                    let op = FmaLanes {
+                        kind,
+                        negate_b,
+                        dst: p(dst),
+                        acc: p(acc),
+                        b: p(b),
+                        mulc: p(mulc),
+                        len,
                     };
-                    let (d, pa, pb, pm) = (p(dst), p(acc), p(b), p(mulc));
-                    if len == W && self.plane_eligible.get(i).copied().unwrap_or(false) {
-                        s.b_lane.clear();
-                        for k in 0..len {
-                            let mut bv = SoftFloat::from_f64(F, s.f[pb + k]);
-                            if negate_b {
-                                bv = bv.neg();
-                            }
-                            s.b_lane.push(bv);
-                        }
-                        csfma_core::plane_fma_chunk(
-                            unit,
-                            &mut s.cs,
-                            pa,
-                            pm,
-                            d,
-                            &s.b_lane,
-                            len,
-                            &mut s.plane,
-                        );
-                    } else {
-                        csfma_core::count_plane_fallback(len);
-                        for k in 0..len {
-                            let mut bv = SoftFloat::from_f64(F, s.f[pb + k]);
-                            if negate_b {
-                                bv = bv.neg();
-                            }
-                            let r = unit.fma_with(&s.cs[pa + k], &bv, &s.cs[pm + k], &mut s.fma);
-                            s.cs[d + k] = r;
-                        }
-                    }
+                    S::fma(self, i, op, f, cs, units, faults.as_deref_mut());
                 }
                 Instr::IeeeToCs { kind, dst, src } => {
                     let fmt = match kind {
@@ -1679,127 +1338,41 @@ impl Tape {
                     };
                     let (d, x) = (p(dst), p(src));
                     for k in 0..len {
-                        s.cs[d + k] = CsOperand::from_f64(s.f[x + k], fmt);
+                        cs[d + k] = S::Cs::from_ieee(f[x + k], fmt);
                     }
                 }
                 Instr::CsToIeee { dst, src } => {
                     let (d, x) = (p(dst), p(src));
                     for k in 0..len {
-                        s.f[d + k] = s.cs[x + k].to_ieee(F, Round::NearestEven).to_f64();
+                        f[d + k] = cs[x + k].to_ieee();
                     }
                 }
                 Instr::Store { output, src } => {
                     let x = p(src);
                     for k in 0..len {
-                        out[k * no + output as usize] = s.f[x + k];
+                        out[k * no + output as usize] = f[x + k];
                     }
                 }
+            }
+            if let Some(fl) = faults.as_deref() {
+                fl.strike_registers(i, ins, f, cs);
             }
         }
     }
 
-    /// Column-wise chunk evaluation with [`TapeBackend::Oracle`]
-    /// semantics: lane `k` computes exactly what
-    /// [`Tape::eval_row`]`(Oracle, …)` computes for row `base + k`.
-    fn eval_chunk_oracle(
-        &self,
-        rows: &[f64],
-        base: usize,
-        len: usize,
-        out: &mut [f64],
-        s: &mut ChunkScratch,
-    ) {
-        let ni = self.inputs.len();
-        let no = self.outputs.len();
-        const W: usize = CHUNK_ROWS;
-        let p = |r: u32| r as usize * W;
-        let sf = |v: f64| SoftFloat::from_f64(F, v);
-        for ins in &self.instrs {
-            match *ins {
-                Instr::LoadInput { dst, input } => {
-                    let d = p(dst);
-                    for k in 0..len {
-                        s.f[d + k] = sf(rows[(base + k) * ni + input as usize]).to_f64();
-                    }
-                }
-                Instr::LoadConst { dst, idx } => {
-                    let v = sf(self.consts[idx as usize]).to_f64();
-                    s.f[p(dst)..p(dst) + len].fill(v);
-                }
-                Instr::Add { dst, a, b } => {
-                    let (d, x, y) = (p(dst), p(a), p(b));
-                    for k in 0..len {
-                        s.f[d + k] = sf(s.f[x + k]).add(&sf(s.f[y + k])).to_f64();
-                    }
-                }
-                Instr::Sub { dst, a, b } => {
-                    let (d, x, y) = (p(dst), p(a), p(b));
-                    for k in 0..len {
-                        s.f[d + k] = sf(s.f[x + k]).sub(&sf(s.f[y + k])).to_f64();
-                    }
-                }
-                Instr::Mul { dst, a, b } => {
-                    let (d, x, y) = (p(dst), p(a), p(b));
-                    for k in 0..len {
-                        s.f[d + k] = sf(s.f[x + k]).mul(&sf(s.f[y + k])).to_f64();
-                    }
-                }
-                Instr::Div { dst, a, b } => {
-                    let (d, x, y) = (p(dst), p(a), p(b));
-                    for k in 0..len {
-                        s.f[d + k] = sf(s.f[x + k]).div(&sf(s.f[y + k])).to_f64();
-                    }
-                }
-                Instr::Neg { dst, a } => {
-                    let (d, x) = (p(dst), p(a));
-                    for k in 0..len {
-                        s.f[d + k] = sf(s.f[x + k]).neg().to_f64();
-                    }
-                }
-                Instr::Fma {
-                    kind,
-                    negate_b,
-                    dst,
-                    acc,
-                    b,
-                    mulc,
-                } => {
-                    let unit = match kind {
-                        FmaKind::Pcs => &s.pcs,
-                        FmaKind::Fcs => &s.fcs,
-                    };
-                    let (d, pa, pb, pm) = (p(dst), p(acc), p(b), p(mulc));
-                    for k in 0..len {
-                        let mut bv = sf(s.f[pb + k]);
-                        if negate_b {
-                            bv = bv.neg();
-                        }
-                        let r = unit.fma(&s.cs[pa + k], &bv, &s.cs[pm + k]);
-                        s.cs[d + k] = r;
-                    }
-                }
-                Instr::IeeeToCs { kind, dst, src } => {
-                    let fmt = match kind {
-                        FmaKind::Pcs => self.pcs_format,
-                        FmaKind::Fcs => self.fcs_format,
-                    };
-                    let (d, x) = (p(dst), p(src));
-                    for k in 0..len {
-                        s.cs[d + k] = CsOperand::from_ieee(&sf(s.f[x + k]), fmt);
-                    }
-                }
-                Instr::CsToIeee { dst, src } => {
-                    let (d, x) = (p(dst), p(src));
-                    for k in 0..len {
-                        s.f[d + k] = s.cs[x + k].to_ieee(F, Round::NearestEven).to_f64();
-                    }
-                }
-                Instr::Store { output, src } => {
-                    let x = p(src);
-                    for k in 0..len {
-                        out[k * no + output as usize] = s.f[x + k];
-                    }
-                }
+    /// One IEEE instruction over `len` lanes of register planes
+    /// `[dst, a, b]` — as the raw host operation ([`F64`] semantics)
+    /// when the semantics licenses instruction `i`'s promotion.
+    #[inline(always)]
+    fn ieee<S: Semantics>(&self, i: usize, op: IeeeOp, f: &mut [f64], regs: [u32; 3], len: usize) {
+        let [d, x, y] = regs.map(|r| r as usize * CHUNK_ROWS);
+        if S::promoted(self, i) {
+            for k in 0..len {
+                f[d + k] = F64::ieee(op, f[x + k], f[y + k]);
+            }
+        } else {
+            for k in 0..len {
+                f[d + k] = S::ieee(op, f[x + k], f[y + k]);
             }
         }
     }
@@ -1812,6 +1385,276 @@ impl Tape {
             .cloned()
             .zip(out_row.iter().copied())
             .collect()
+    }
+}
+
+/// The plane offsets and lane count of one fused instruction, as
+/// [`Semantics::fma`] receives them: `cs[dst + k] = fma(cs[acc + k],
+/// ±f[b + k], cs[mulc + k])` for `k < len`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct FmaLanes {
+    kind: FmaKind,
+    negate_b: bool,
+    dst: usize,
+    acc: usize,
+    b: usize,
+    mulc: usize,
+    len: usize,
+}
+
+/// The IEEE operators of the tape (`Neg` ignores its second operand).
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum IeeeOp {
+    Add,
+    Sub,
+    Mul,
+    Div,
+    Neg,
+}
+
+/// One evaluation semantics of the tape interpreter
+/// ([`Tape::run_chunk`]): what a row load, an IEEE operator and a fused
+/// FMA compute, and which carry-save bank they use. [`F64`], [`Bit`]
+/// and [`Oracle`] mirror the operator stacks of the CDFG interpreters
+/// in [`crate::interp`].
+pub(crate) trait Semantics {
+    /// Element of the carry-save register bank.
+    type Cs: CsSlot;
+    /// A row input or pool constant as it enters the binary64 bank.
+    fn input(v: f64) -> f64;
+    /// Whether instruction `i` may run as the raw host operation.
+    fn promoted(_t: &Tape, _i: usize) -> bool {
+        false
+    }
+    /// One IEEE operator.
+    fn ieee(op: IeeeOp, x: f64, y: f64) -> f64;
+    /// Fused instruction `i` over its lanes. `faults` is only ever
+    /// `Some` for the checked semantics the robust executor runs.
+    fn fma(
+        t: &Tape,
+        i: usize,
+        op: FmaLanes,
+        f: &[f64],
+        cs: &mut [Self::Cs],
+        u: &mut Units,
+        faults: Option<&mut ChunkFaults<'_>>,
+    );
+}
+
+/// A carry-save bank element: a real [`CsOperand`], or a plain double
+/// under [`F64`] semantics, where the domain conversions are wiring.
+pub(crate) trait CsSlot: Sized {
+    /// The binary64 bank, the carry-save bank of this element type and
+    /// the fused-datapath state of `s`.
+    fn banks(s: &mut TapeScratch) -> (&mut [f64], &mut [Self], &mut Units);
+    /// `IeeeToCs` into `fmt`.
+    fn from_ieee(v: f64, fmt: CsFmaFormat) -> Self;
+    /// `CsToIeee` (resolve + normalize + round to binary64).
+    fn to_ieee(&self) -> f64;
+    /// A register-plane upset: flip one stored bit.
+    fn flip(&mut self, bit: u32);
+}
+
+impl CsSlot for f64 {
+    fn banks(s: &mut TapeScratch) -> (&mut [f64], &mut [f64], &mut Units) {
+        (&mut s.f, &mut s.cs_f, &mut s.units)
+    }
+    fn from_ieee(v: f64, _fmt: CsFmaFormat) -> f64 {
+        v
+    }
+    fn to_ieee(&self) -> f64 {
+        *self
+    }
+    fn flip(&mut self, bit: u32) {
+        *self = f64::from_bits(self.to_bits() ^ (1u64 << (bit % 64)));
+    }
+}
+
+impl CsSlot for CsOperand {
+    fn banks(s: &mut TapeScratch) -> (&mut [f64], &mut [CsOperand], &mut Units) {
+        (&mut s.f, &mut s.cs, &mut s.units)
+    }
+    fn from_ieee(v: f64, fmt: CsFmaFormat) -> CsOperand {
+        CsOperand::from_f64(v, fmt)
+    }
+    fn to_ieee(&self) -> f64 {
+        CsOperand::to_ieee(self, F, Round::NearestEven).to_f64()
+    }
+    fn flip(&mut self, bit: u32) {
+        #[cfg(feature = "fault-inject")]
+        self.fault_flip_mant_bit(bit as usize);
+        #[cfg(not(feature = "fault-inject"))]
+        let _ = bit;
+    }
+}
+
+/// The IEEE `B` operand of a fused instruction.
+fn b_operand(v: f64, negate: bool) -> SoftFloat {
+    let b = SoftFloat::from_f64(F, v);
+    if negate {
+        b.neg()
+    } else {
+        b
+    }
+}
+
+/// Host-double semantics, bit-identical to
+/// [`eval_f64`](crate::interp::eval_f64).
+pub(crate) struct F64;
+
+impl Semantics for F64 {
+    type Cs = f64;
+    fn input(v: f64) -> f64 {
+        v
+    }
+    #[inline(always)]
+    fn ieee(op: IeeeOp, x: f64, y: f64) -> f64 {
+        match op {
+            IeeeOp::Add => x + y,
+            IeeeOp::Sub => x - y,
+            IeeeOp::Mul => x * y,
+            IeeeOp::Div => x / y,
+            IeeeOp::Neg => -x,
+        }
+    }
+    fn fma(
+        _t: &Tape,
+        _i: usize,
+        op: FmaLanes,
+        f: &[f64],
+        cs: &mut [f64],
+        _u: &mut Units,
+        _faults: Option<&mut ChunkFaults<'_>>,
+    ) {
+        // no carry-save datapath, so nothing to check
+        for k in 0..op.len {
+            let b = f[op.b + k];
+            let bv = if op.negate_b { -b } else { b };
+            cs[op.dst + k] = bv.mul_add(cs[op.mulc + k], cs[op.acc + k]);
+        }
+    }
+}
+
+/// Bit-accurate semantics, bit-identical to
+/// [`eval_bit_accurate`](crate::interp::eval_bit_accurate): IEEE
+/// operators on the host FPU through the guarded soft-float fast path,
+/// fused nodes on the behavioral carry-save units.
+pub(crate) struct Bit;
+
+impl Semantics for Bit {
+    type Cs = CsOperand;
+    fn input(v: f64) -> f64 {
+        sfb::canonicalize(v)
+    }
+    fn promoted(t: &Tape, i: usize) -> bool {
+        t.promoted.get(i).copied().unwrap_or(false)
+    }
+    #[inline(always)]
+    fn ieee(op: IeeeOp, x: f64, y: f64) -> f64 {
+        match op {
+            IeeeOp::Add => sfb::hosted_add(x, y),
+            IeeeOp::Sub => sfb::hosted_sub(x, y),
+            IeeeOp::Mul => sfb::hosted_mul(x, y),
+            IeeeOp::Div => sfb::hosted_div(x, y),
+            IeeeOp::Neg => sfb::hosted_neg(x),
+        }
+    }
+    /// Three ways to run a fused instruction, all bit-identical: checked
+    /// per lane with the lane's fault hook (robust mode — never the
+    /// plane kernel, which robust mode runs as a shadow instead), the
+    /// bit-plane kernel on a full chunk, or the unit lane by lane with
+    /// one shared [`FmaScratch`].
+    fn fma(
+        t: &Tape,
+        i: usize,
+        op: FmaLanes,
+        f: &[f64],
+        cs: &mut [CsOperand],
+        u: &mut Units,
+        faults: Option<&mut ChunkFaults<'_>>,
+    ) {
+        let unit = match op.kind {
+            FmaKind::Pcs => &u.pcs,
+            FmaKind::Fcs => &u.fcs,
+        };
+        let len = op.len;
+        if let Some(fl) = faults {
+            for k in 0..len {
+                let bv = b_operand(f[op.b + k], op.negate_b);
+                let mut dets: Vec<FaultDetected> = Vec::new();
+                let mut ctl = match &fl.hooks[k] {
+                    Some(h) => FmaCtl::with_hook(h, &mut dets),
+                    None => FmaCtl::checked(&mut dets),
+                };
+                let (r, _) = unit.fma_checked_with(
+                    &cs[op.acc + k],
+                    &bv,
+                    &cs[op.mulc + k],
+                    &mut u.fma,
+                    &mut ctl,
+                );
+                fl.findings[k].extend(dets.into_iter().map(|d| (i, d)));
+                cs[op.dst + k] = r;
+            }
+        } else if len == CHUNK_ROWS && t.plane_eligible.get(i).copied().unwrap_or(false) {
+            u.b_lane.clear();
+            u.b_lane
+                .extend((0..len).map(|k| b_operand(f[op.b + k], op.negate_b)));
+            let (b, plane) = (&u.b_lane, &mut u.plane);
+            csfma_core::plane_fma_chunk(unit, cs, op.acc, op.mulc, op.dst, b, len, plane);
+        } else {
+            csfma_core::count_plane_fallback(len);
+            for k in 0..len {
+                let bv = b_operand(f[op.b + k], op.negate_b);
+                let r = unit.fma_with(&cs[op.acc + k], &bv, &cs[op.mulc + k], &mut u.fma);
+                cs[op.dst + k] = r;
+            }
+        }
+    }
+}
+
+/// Oracle semantics ([`TapeBackend::Oracle`]): every IEEE operator runs
+/// the full soft-float stack (no hosted fast path, no promotion, no
+/// shared [`FmaScratch`]) and fused nodes call the allocating
+/// [`CsFmaUnit::fma`] — the slowest, most literal replay of the model,
+/// independent by operator stack of the fast semantics it backstops.
+pub(crate) struct Oracle;
+
+impl Semantics for Oracle {
+    type Cs = CsOperand;
+    fn input(v: f64) -> f64 {
+        SoftFloat::from_f64(F, v).to_f64()
+    }
+    fn ieee(op: IeeeOp, x: f64, y: f64) -> f64 {
+        let (x, y) = (SoftFloat::from_f64(F, x), SoftFloat::from_f64(F, y));
+        match op {
+            IeeeOp::Add => x.add(&y),
+            IeeeOp::Sub => x.sub(&y),
+            IeeeOp::Mul => x.mul(&y),
+            IeeeOp::Div => x.div(&y),
+            IeeeOp::Neg => x.neg(),
+        }
+        .to_f64()
+    }
+    fn fma(
+        _t: &Tape,
+        _i: usize,
+        op: FmaLanes,
+        f: &[f64],
+        cs: &mut [CsOperand],
+        u: &mut Units,
+        faults: Option<&mut ChunkFaults<'_>>,
+    ) {
+        debug_assert!(faults.is_none(), "the oracle semantics runs unchecked");
+        let unit = match op.kind {
+            FmaKind::Pcs => &u.pcs,
+            FmaKind::Fcs => &u.fcs,
+        };
+        for k in 0..op.len {
+            let bv = b_operand(f[op.b + k], op.negate_b);
+            let r = unit.fma(&cs[op.acc + k], &bv, &cs[op.mulc + k]);
+            cs[op.dst + k] = r;
+        }
     }
 }
 

@@ -38,7 +38,6 @@ pub mod lint;
 pub mod many;
 pub mod mutate;
 pub mod opt;
-pub mod optimize;
 pub mod parser;
 pub mod printer;
 pub mod profile;
@@ -65,7 +64,6 @@ pub use lint::{
 pub use many::{eval_many, eval_many_profiled, EvalManyOutput, EvalManyRequest};
 pub use mutate::{apply_mutation, ALL_MUTATIONS};
 pub use opt::OptStats;
-pub use optimize::{optimize, OptimizeReport};
 pub use parser::{parse_program, parse_program_with_ranges, ParseError};
 pub use printer::{to_source, to_source_with_ranges};
 pub use profile::{robust_counts, PipelineReport, Profiler, RobustCounts, StageRecord};

@@ -42,7 +42,9 @@ pub struct ServeStats {
     pub connections: AtomicU64,
     /// Connection handlers that panicked and were contained.
     pub panics_contained: AtomicU64,
-    /// Connections closed for exceeding the per-connection rate limit.
+    /// Frames throttled by the per-connection rate limit: each one was
+    /// delayed until the token bucket refilled, then handled. The
+    /// connection stays open.
     pub rate_limited: AtomicU64,
     /// Admission-queue depth observed at each SUBMIT.
     pub queue_depth: [AtomicU64; QUEUE_DEPTH_BUCKETS],

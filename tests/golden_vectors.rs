@@ -14,7 +14,7 @@
 //!   fusion mode × backend on recorded input rows, and
 //! * the bit-plane chunk kernel (DESIGN.md §13): full packed transport
 //!   words for 64-lane chained chunks on every carry-save format — a
-//!   companion mutation test arms the kernel's corruption hook and
+//!   companion mutation test arms a thread-local plane strike and
 //!   proves this corpus catches a single flipped plane word,
 //!
 //! so any change to rounding, normalization, transport-format geometry
@@ -338,6 +338,10 @@ const PLANE_FORMATS: &[(&str, CsFmaFormat)] = &[
 ];
 const PLANE_CHUNK: usize = 64;
 const PLANE_LINKS: usize = 2;
+/// Word selector of the mutation test's plane strike: a product-sum
+/// plane whose flip survives rounding on lane 0 as a single changed bit
+/// of the packed result (see `golden_suite_catches_plane_word_corruption`).
+const STRIKE_SEL: u64 = 16;
 
 fn plane_format(name: &str) -> CsFmaFormat {
     PLANE_FORMATS
@@ -435,8 +439,8 @@ fn plane_golden_mismatches(doc: &Json) -> Vec<String> {
 }
 
 /// Deterministic per-format stimulus for the plane corpus: lane 0 stays
-/// a plain normal triple (the corruption hook flips a lane-0 mantissa
-/// bit, which must never be masked by the exception path), the rest mix
+/// a plain normal triple (the mutation test strikes a lane-0 product
+/// plane, which must never be masked by the exception path), the rest mix
 /// specials, subnormals and wide-exponent normals.
 fn plane_stimulus(fmt_name: &str) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
     let mut state = 0x91a9_e000_0000_0000u64 ^ fmt_name.len() as u64;
@@ -551,28 +555,29 @@ fn golden_plane_kernel_vectors_hold() {
     );
 }
 
-/// Mutation coverage of the corpus itself: arm the kernel's one-shot
-/// corruption hook (flips a single bit-plane word — lane 0, mantissa
-/// sum bit 0 — after the block select) and require the golden suite to
-/// notice. If this test fails, the corpus has a blind spot.
+/// Mutation coverage of the corpus itself: arm one plane strike (a
+/// single flipped product-sum plane word, lane 0) on this thread — the
+/// first kernel call of the corpus consumes it — and require the golden
+/// suite to notice. If this test fails, the corpus has a blind spot.
 #[test]
 fn golden_suite_catches_plane_word_corruption() {
-    use std::sync::atomic::Ordering;
+    use csfma::core::fault::FaultSite;
+    use csfma::core::{arm_plane_strikes, disarm_plane_strikes, PlaneStrike};
     let doc = load("plane_kernel.json");
-    csfma::core::plane::CORRUPT_NEXT_PLANE_WORD.store(true, Ordering::Relaxed);
+    arm_plane_strikes(&[PlaneStrike {
+        site: FaultSite::PlaneCsaWord,
+        lane: 0,
+        sel: STRIKE_SEL,
+    }]);
     let mismatches = plane_golden_mismatches(&doc);
-    // one-shot hook: consumed by the first chunk evaluation
-    assert!(
-        !csfma::core::plane::CORRUPT_NEXT_PLANE_WORD.load(Ordering::Relaxed),
-        "corruption hook was never consumed"
-    );
+    assert_eq!(disarm_plane_strikes(), 0, "plane strike was never consumed");
     assert!(
         !mismatches.is_empty(),
         "golden plane corpus failed to catch a flipped bit-plane word"
     );
     assert!(
         mismatches.iter().any(|m| m.contains("lane 0")),
-        "corruption flips lane 0, but the mismatch landed elsewhere: {mismatches:?}"
+        "the strike flips lane 0, but the mismatch landed elsewhere: {mismatches:?}"
     );
 }
 

@@ -18,6 +18,16 @@ use csfma::hls::{
     promotion_mask, Cdfg, FmaKind, FusionConfig, NodeId, Op, TapeBackend,
 };
 use proptest::prelude::*;
+use std::sync::{Mutex, MutexGuard};
+
+/// The JIT row and bailout counters are process-wide, and the harness
+/// runs this binary's tests in parallel: every test that evaluates on
+/// the JIT backend holds this lock, so the counter assertions of
+/// `nan_rows_bail_and_ordinary_rows_do_not` see only their own rows.
+fn jit_counter_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 type OpPick = (usize, prop::sample::Index, prop::sample::Index);
 
@@ -74,6 +84,7 @@ fn stimulus() -> impl Strategy<Value = f64> {
 /// The identity every test asserts: `Jit` output equals `BitAccurate`
 /// output bit-for-bit at 1 and 4 threads over the same batch.
 fn assert_jit_matches_interpreter(g: &Cdfg, vals: &[f64], n_rows: usize) {
+    let _guard = jit_counter_lock();
     let tape = compile(g).expect("test graphs compile");
     let ni = tape.num_inputs();
     let rows: Vec<f64> = (0..n_rows * ni).map(|i| vals[i % vals.len()]).collect();
@@ -168,6 +179,7 @@ fn jit_matches_interpreter_on_example_datapaths() {
 /// the unpromoted one by the R* analysis).
 #[test]
 fn jit_matches_interpreter_on_promoted_tape() {
+    let _guard = jit_counter_lock();
     let src = std::fs::read_to_string("examples/datapaths/dot6_bounded.csfma").unwrap();
     let (g, decls) = parse_program_with_ranges(&src).unwrap();
     let tape = compile(&g).unwrap();
@@ -217,6 +229,7 @@ fn jit_matches_interpreter_on_promoted_tape() {
 /// all. Counter assertions need the obs feature and a real module.
 #[test]
 fn nan_rows_bail_and_ordinary_rows_do_not() {
+    let _guard = jit_counter_lock();
     let g = parse_program("x1 = a*b + c*d;\nx2 = e*f + g*x1;\nout x3 = h*i + k*x2;\n").unwrap();
     let tape = compile(&g).unwrap();
     let ni = tape.num_inputs();

@@ -1,7 +1,8 @@
 //! Workspace-level tests of the `csfma-verify` static checker:
 //!
-//! * a property test that the outputs of the optimizer and the fusion
-//!   pass *always* pass all three checker passes on random CDFGs, and
+//! * a property test that the outputs of the fusion pass *always* pass
+//!   all three checker passes on random CDFGs (and compile through the
+//!   post-gate optimizer), and
 //! * mutation tests seeding one specific violation per checker pass and
 //!   asserting the exact rule fires (the checker is only trustworthy if
 //!   it rejects what it is supposed to reject).
@@ -9,7 +10,7 @@
 use csfma_core::{CsFmaFormat, Normalizer};
 use csfma_hls::cdfg::{Cdfg, FmaKind, NodeId, Op};
 use csfma_hls::{
-    asap_schedule, fuse_critical_paths, lint_dataflow, lint_schedule, list_schedule, optimize,
+    asap_schedule, compile, fuse_critical_paths, lint_dataflow, lint_schedule, list_schedule,
     FusionConfig, OpTiming, ResourceLimits,
 };
 use csfma_verify::{check_format, has_errors, render_report, Rule, ScheduleView, Severity};
@@ -51,9 +52,10 @@ fn assert_lint_clean(g: &Cdfg, t: &OpTiming, what: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Pipeline outputs always satisfy the checker: the optimizer result,
-    /// both fusion results, and the schedules computed for them — on
-    /// random graphs, under random resource limits.
+    /// Pipeline outputs always satisfy the checker: both fusion results
+    /// and the schedules computed for them — on random graphs, under
+    /// random resource limits — and both fused graphs compile through
+    /// the checker gate and the post-gate optimizer.
     #[test]
     fn prop_pipeline_outputs_pass_all_checker_passes(
         ops in prop::collection::vec((0usize..6, 0usize..32, 0usize..32), 3..24),
@@ -64,12 +66,10 @@ proptest! {
         let g = build_random_cdfg(&ops);
         assert_lint_clean(&g, &t, "random source graph");
 
-        let opt = optimize(&g).optimized;
-        assert_lint_clean(&opt, &t, "optimizer output");
-
         for kind in [FmaKind::Pcs, FmaKind::Fcs] {
-            let fused = fuse_critical_paths(&opt, &FusionConfig::new(kind)).fused;
+            let fused = fuse_critical_paths(&g, &FusionConfig::new(kind)).fused;
             assert_lint_clean(&fused, &t, "fusion output");
+            prop_assert!(compile(&fused).is_ok(), "fused graph refused by the compiler");
 
             // pass 2: the unconstrained schedule is hazard-free...
             let unbounded = ResourceLimits::default();
