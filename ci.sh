@@ -43,14 +43,17 @@ done
 cargo test -q --test golden_vectors
 cargo test -q --test cli_run
 
-# flake gate: the suites that share fault and plane-kernel state run 20
-# times at default harness parallelism; tier-1 must pass every time, not
-# most of the time
+# flake gate: the suites that share fault, plane-kernel, JIT-counter
+# and observability state run 20 times at default harness parallelism;
+# tier-1 must pass every time, not most of the time
 i=0
 while [ "$i" -lt 20 ]; do
     cargo test -q --test golden_vectors
     cargo test -q --test fault_robustness
     cargo test -q -p csfma-hls robust::
+    cargo test -q --test observability
+    cargo test -q --test cli_run
+    cargo test -q --test jit_differential
     i=$((i + 1))
 done
 

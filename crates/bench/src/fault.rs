@@ -35,7 +35,7 @@ use csfma_hls::{
     compile, fuse_critical_paths, parse_program, FmaKind, FusionConfig, Profiler, RobustOptions,
     RowOutcome, Tape, TapeBackend,
 };
-use csfma_obs::time_us;
+use csfma_obs::{time_us, Json};
 
 /// What one site's sweep did, row by row.
 #[derive(Clone, Debug)]
@@ -221,45 +221,42 @@ pub fn run_campaign(rows: usize, seed: u64) -> FaultCampaign {
     }
 }
 
-/// Render the campaign as the `BENCH_faults.json` document (hand-rolled;
-/// the workspace has no JSON dependency).
+/// Render the campaign as the `BENCH_faults.json` document.
 pub fn to_json(c: &FaultCampaign) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::new();
-    let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "  \"bench\": \"faults\",");
-    let _ = writeln!(s, "  \"graph\": \"{}\",", c.graph);
-    let _ = writeln!(s, "  \"rows\": {},", c.rows);
-    let _ = writeln!(s, "  \"seed\": {},", c.seed);
-    let _ = writeln!(s, "  \"fault_model\": \"single-bit transient per row\",");
-    let _ = writeln!(s, "  \"sites\": [");
-    for (i, r) in c.sites.iter().enumerate() {
-        let _ = writeln!(s, "    {{");
-        let _ = writeln!(s, "      \"site\": \"{}\",", r.site.name());
-        let _ = writeln!(s, "      \"checked\": {},", r.checked);
-        let _ = writeln!(s, "      \"rows_struck\": {},", r.rows_struck);
-        let _ = writeln!(s, "      \"fired\": {},", r.fired);
-        let _ = writeln!(s, "      \"recovered\": {},", r.recovered);
-        let _ = writeln!(s, "      \"quarantined\": {},", r.quarantined);
-        let _ = writeln!(s, "      \"benign\": {},", r.benign);
-        let _ = writeln!(s, "      \"silent\": {},", r.silent);
-        let _ = writeln!(s, "      \"detection_rate\": {:.4},", r.detection_rate());
-        let _ = writeln!(s, "      \"checker_findings\": {},", r.checker_findings);
-        let _ = writeln!(s, "      \"chunk_panics\": {},", r.chunk_panics);
-        let _ = writeln!(s, "      \"eval_us_per_row\": {:.4},", r.eval_us_per_row);
-        let _ = writeln!(s, "      \"thread_invariant\": {}", r.thread_invariant);
-        let _ = writeln!(s, "    }}{}", if i + 1 < c.sites.len() { "," } else { "" });
-    }
-    let _ = writeln!(s, "  ],");
-    let _ = writeln!(
-        s,
-        "  \"note\": \"tape-reg is outside checker coverage (register-file \
-         upsets need ECC); it is swept and reported but not gated\","
-    );
-    let _ = writeln!(s, "  \"silent_on_checked\": {},", c.silent_on_checked());
-    let _ = writeln!(s, "  \"pass\": {}", c.passes());
-    let _ = write!(s, "}}");
-    s
+    let sites = c.sites.iter().map(|r| {
+        Json::obj([
+            ("site", r.site.name().into()),
+            ("checked", r.checked.into()),
+            ("rows_struck", r.rows_struck.into()),
+            ("fired", r.fired.into()),
+            ("recovered", r.recovered.into()),
+            ("quarantined", r.quarantined.into()),
+            ("benign", r.benign.into()),
+            ("silent", r.silent.into()),
+            ("detection_rate", Json::fixed(r.detection_rate(), 4)),
+            ("checker_findings", r.checker_findings.into()),
+            ("chunk_panics", r.chunk_panics.into()),
+            ("eval_us_per_row", Json::fixed(r.eval_us_per_row, 4)),
+            ("thread_invariant", r.thread_invariant.into()),
+        ])
+    });
+    Json::obj([
+        ("bench", "faults".into()),
+        ("graph", c.graph.into()),
+        ("rows", c.rows.into()),
+        ("seed", c.seed.into()),
+        ("fault_model", "single-bit transient per row".into()),
+        ("sites", Json::arr(sites)),
+        (
+            "note",
+            "tape-reg is outside checker coverage (register-file upsets need ECC); \
+             it is swept and reported but not gated"
+                .into(),
+        ),
+        ("silent_on_checked", c.silent_on_checked().into()),
+        ("pass", c.passes().into()),
+    ])
+    .to_string()
 }
 
 #[cfg(test)]
@@ -279,9 +276,14 @@ mod tests {
                 assert!(s.detection_rate() >= 0.9, "{:?}: {s:?}", s.site);
             }
         }
-        let json = to_json(&c);
-        assert!(json.contains("\"pass\": true"), "{json}");
-        assert!(json.contains("\"site\": \"mul-sum\""));
-        assert!(json.contains("\"site\": \"tape-reg\""));
+        let doc = Json::parse(&to_json(&c)).unwrap();
+        assert_eq!(doc.get("pass"), Some(&Json::Bool(true)), "{doc}");
+        let sites = doc.get("sites").and_then(Json::as_arr).unwrap();
+        let names: Vec<_> = sites
+            .iter()
+            .filter_map(|s| s.get("site")?.as_str())
+            .collect();
+        assert!(names.contains(&"mul-sum"), "{names:?}");
+        assert!(names.contains(&"tape-reg"), "{names:?}");
     }
 }

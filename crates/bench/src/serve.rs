@@ -31,6 +31,7 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use csfma_hls::{compile_cached, parse_program, TapeBackend};
+use csfma_obs::Json;
 use csfma_serve::frame::{self, backend, tag, Frame};
 use csfma_serve::{digest, Client, ServeConfig, Server, StatsSnapshot};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -433,65 +434,60 @@ pub fn run_serve_bench(fault_seed: u64, client_counts: &[usize]) -> ServeBench {
     }
 }
 
-/// Hand-rolled JSON for `results/BENCH_serve.json` (the workspace
-/// builds offline; no serde).
+/// The `results/BENCH_serve.json` document.
 pub fn to_json(b: &ServeBench) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::new();
-    let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "  \"bench\": \"serve\",");
-    let _ = writeln!(s, "  \"graph\": \"listing1\",");
-    let _ = writeln!(s, "  \"fault_seed\": {},", b.fault_seed);
-    let _ = writeln!(s, "  \"rows_per_request\": {ROWS_PER_REQUEST},");
-    let _ = writeln!(s, "  \"requests_per_client\": {REQUESTS_PER_CLIENT},");
-    let _ = writeln!(s, "  \"deadline_probe_rows\": {DEADLINE_PROBE_ROWS},");
-    let _ = writeln!(s, "  \"scenarios\": [");
-    for (i, r) in b.scenarios.iter().enumerate() {
-        let _ = writeln!(s, "    {{");
-        let _ = writeln!(s, "      \"clients\": {},", r.clients);
-        let _ = writeln!(s, "      \"submits\": {},", r.submits);
-        let _ = writeln!(s, "      \"results\": {},", r.results);
-        let _ = writeln!(s, "      \"shed\": {},", r.shed);
-        let _ = writeln!(s, "      \"deadline\": {},", r.deadline);
-        let _ = writeln!(s, "      \"errors\": {},", r.errors);
-        let _ = writeln!(s, "      \"unanswered\": {},", r.unanswered);
-        let _ = writeln!(s, "      \"quarantined_rows\": {},", r.quarantined_rows);
-        let _ = writeln!(s, "      \"digest_mismatches\": {},", r.digest_mismatches);
-        let _ = writeln!(s, "      \"p50_ms\": {:.3},", r.p50_ms);
-        let _ = writeln!(s, "      \"p99_ms\": {:.3},", r.p99_ms);
-        let _ = writeln!(s, "      \"rows_per_sec\": {:.0},", r.rows_per_sec);
-        let _ = writeln!(s, "      \"elapsed_ms\": {:.1},", r.elapsed_ms);
-        let _ = writeln!(
-            s,
-            "      \"server\": {{\"accepted\": {}, \"results\": {}, \"shed\": {}, \
-             \"deadline\": {}, \"errors\": {}, \"refusals\": {}, \"retries\": {}, \
-             \"quarantined_rows\": {}, \"panics_contained\": {}}},",
-            r.server.accepted,
-            r.server.results,
-            r.server.shed,
-            r.server.deadline,
-            r.server.errors,
-            r.server.refusals,
-            r.server.retries,
-            r.server.quarantined_rows,
-            r.server.panics_contained,
-        );
-        let _ = writeln!(s, "      \"reconciled\": {}", r.reconciled());
-        let _ = writeln!(
-            s,
-            "    }}{}",
-            if i + 1 < b.scenarios.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(s, "  ],");
-    let _ = writeln!(s, "  \"kill_mid_flight\": {{");
-    let _ = writeln!(s, "    \"torn_connections\": {},", b.kill.torn_connections);
-    let _ = writeln!(s, "    \"server_survived\": {},", b.kill.server_survived);
-    let _ = writeln!(s, "    \"panics_contained\": {}", b.kill.panics_contained);
-    let _ = writeln!(s, "  }},");
-    let _ = writeln!(s, "  \"pass\": {}", b.passes());
-    let _ = write!(s, "}}");
-    s
+    let scenarios = b.scenarios.iter().map(|r| {
+        let st = &r.server;
+        Json::obj([
+            ("clients", r.clients.into()),
+            ("submits", r.submits.into()),
+            ("results", r.results.into()),
+            ("shed", r.shed.into()),
+            ("deadline", r.deadline.into()),
+            ("errors", r.errors.into()),
+            ("unanswered", r.unanswered.into()),
+            ("quarantined_rows", r.quarantined_rows.into()),
+            ("digest_mismatches", r.digest_mismatches.into()),
+            ("p50_ms", Json::fixed(r.p50_ms, 3)),
+            ("p99_ms", Json::fixed(r.p99_ms, 3)),
+            ("rows_per_sec", Json::fixed(r.rows_per_sec, 0)),
+            ("elapsed_ms", Json::fixed(r.elapsed_ms, 1)),
+            (
+                "server",
+                Json::obj([
+                    ("accepted", st.accepted.into()),
+                    ("results", st.results.into()),
+                    ("shed", st.shed.into()),
+                    ("deadline", st.deadline.into()),
+                    ("errors", st.errors.into()),
+                    ("refusals", st.refusals.into()),
+                    ("retries", st.retries.into()),
+                    ("quarantined_rows", st.quarantined_rows.into()),
+                    ("panics_contained", st.panics_contained.into()),
+                ]),
+            ),
+            ("reconciled", r.reconciled().into()),
+        ])
+    });
+    Json::obj([
+        ("bench", "serve".into()),
+        ("graph", "listing1".into()),
+        ("fault_seed", b.fault_seed.into()),
+        ("rows_per_request", ROWS_PER_REQUEST.into()),
+        ("requests_per_client", REQUESTS_PER_CLIENT.into()),
+        ("deadline_probe_rows", DEADLINE_PROBE_ROWS.into()),
+        ("scenarios", Json::arr(scenarios)),
+        (
+            "kill_mid_flight",
+            Json::obj([
+                ("torn_connections", b.kill.torn_connections.into()),
+                ("server_survived", b.kill.server_survived.into()),
+                ("panics_contained", b.kill.panics_contained.into()),
+            ]),
+        ),
+        ("pass", b.passes().into()),
+    ])
+    .to_string()
 }
 
 #[cfg(test)]
@@ -521,18 +517,20 @@ mod tests {
             scenarios: vec![run_scenario(1, 7)],
             kill: run_kill_drill(7),
         };
-        let j = to_json(&b);
+        let doc = Json::parse(&to_json(&b)).unwrap();
+        let scenario = &doc.get("scenarios").and_then(Json::as_arr).unwrap()[0];
         for field in [
-            "\"p50_ms\":",
-            "\"p99_ms\":",
-            "\"rows_per_sec\":",
-            "\"shed\":",
-            "\"deadline\":",
-            "\"quarantined_rows\":",
-            "\"kill_mid_flight\":",
-            "\"reconciled\": true",
+            "p50_ms",
+            "p99_ms",
+            "rows_per_sec",
+            "shed",
+            "deadline",
+            "quarantined_rows",
         ] {
-            assert!(j.contains(field), "missing {field} in\n{j}");
+            let v = scenario.get(field).and_then(Json::as_f64);
+            assert!(v.is_some(), "missing numeric {field} in {scenario}");
         }
+        assert!(doc.get("kill_mid_flight").is_some(), "{doc}");
+        assert_eq!(scenario.get("reconciled"), Some(&Json::Bool(true)));
     }
 }

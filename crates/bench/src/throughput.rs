@@ -24,7 +24,7 @@ use csfma_hls::{
     parse_program, tape_cache_stats, Cdfg, CompileOptions, EvalManyRequest, FmaKind, FusionConfig,
     Profiler, Tape, TapeBackend,
 };
-use csfma_obs::time_us;
+use csfma_obs::{time_us, Json};
 use csfma_solvers::{generate_ldlsolve, solver_suite, KktSystem, LdlFactors};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::HashMap;
@@ -394,96 +394,90 @@ pub fn eval_many_scenario(rows: usize, seed: u64) -> EvalManyScenario {
 }
 
 /// Render rows plus the [`csfma_hls::eval_many`] scenario as the
-/// `BENCH_throughput.json` document. Hand-rolled (the workspace has no
-/// JSON dependency); numbers use enough digits to round-trip.
+/// `BENCH_throughput.json` document.
 pub fn to_json(
     rows: &[ThroughputRow],
     many: &EvalManyScenario,
     rows_per_graph: usize,
     seed: u64,
 ) -> String {
-    use std::fmt::Write as _;
     let threads_avail = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let mut s = String::new();
-    let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "  \"bench\": \"throughput\",");
-    let _ = writeln!(s, "  \"rows_per_graph\": {rows_per_graph},");
-    let _ = writeln!(s, "  \"seed\": {seed},");
-    let _ = writeln!(s, "  \"hardware_threads\": {threads_avail},");
     let c = tape_cache_stats();
     let hit_rate = if c.hits + c.misses > 0 {
         c.hits as f64 / (c.hits + c.misses) as f64
     } else {
         0.0
     };
-    let _ = writeln!(
-        s,
-        "  \"tape_cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}, \
-         \"entries\": {}, \"capacity\": {}, \"hit_rate\": {hit_rate:.4}}},",
-        c.hits, c.misses, c.evictions, c.entries, c.capacity
-    );
-    let _ = writeln!(
-        s,
-        "  \"eval_many\": {{\"requests\": {}, \"rows_total\": {}, \"many_us\": {:.2}, \
-         \"sequential_us\": {:.2}, \"speedup_vs_sequential\": {:.2}, \"bitwise_equal\": {}, \
-         \"steal\": {{\"workers\": {}, \"claims\": {}, \"steals\": {}}}}},",
-        many.requests,
-        many.rows_total,
-        many.many_us,
-        many.sequential_us,
-        many.speedup_vs_sequential,
-        many.bitwise_equal,
-        many.workers,
-        many.claims,
-        many.steals
-    );
-    let _ = writeln!(s, "  \"entries\": [");
-    for (i, r) in rows.iter().enumerate() {
-        let tape: Vec<String> = r
+    let steal = |workers: u64, claims: u64, steals: u64| {
+        Json::obj([
+            ("workers", workers.into()),
+            ("claims", claims.into()),
+            ("steals", steals.into()),
+        ])
+    };
+    let entries = rows.iter().map(|r| {
+        let tape = r
             .tape_us_per_row
             .iter()
-            .map(|(t, us)| format!("\"{t}\": {us:.4}"))
-            .collect();
-        let _ = writeln!(s, "    {{");
-        let _ = writeln!(s, "      \"graph\": \"{}\",", r.graph);
-        let _ = writeln!(s, "      \"nodes\": {},", r.nodes);
-        let _ = writeln!(s, "      \"backend\": \"{}\",", r.backend);
-        let _ = writeln!(s, "      \"rows\": {},", r.rows);
-        let _ = writeln!(
-            s,
-            "      \"scalar_rows_measured\": {},",
-            r.scalar_rows_measured
-        );
-        let _ = writeln!(
-            s,
-            "      \"scalar_us_per_row\": {:.4},",
-            r.scalar_us_per_row
-        );
-        let _ = writeln!(s, "      \"tape_us_per_row\": {{{}}},", tape.join(", "));
-        let _ = writeln!(s, "      \"speedup_1t\": {:.2},", r.speedup_1t);
-        let _ = writeln!(s, "      \"speedup_8t\": {:.2},", r.speedup_8t);
-        let _ = writeln!(s, "      \"compile_us\": {:.2},", r.compile_us);
-        let _ = writeln!(s, "      \"optimize_us\": {:.2},", r.optimize_us);
-        let _ = writeln!(
-            s,
-            "      \"cached_compile_us\": {:.2},",
-            r.cached_compile_us
-        );
-        let _ = writeln!(s, "      \"opt_nodes_before\": {},", r.opt_nodes_before);
-        let _ = writeln!(s, "      \"opt_nodes_after\": {},", r.opt_nodes_after);
-        let _ = writeln!(s, "      \"instrs\": {},", r.instrs);
-        let _ = writeln!(s, "      \"chunk_size\": {},", r.chunk_size);
-        let _ = writeln!(
-            s,
-            "      \"steal\": {{\"workers\": {}, \"claims\": {}, \"steals\": {}}},",
-            r.steal_workers, r.steal_claims, r.steal_steals
-        );
-        let _ = writeln!(s, "      \"bitwise_equal\": {}", r.bitwise_equal);
-        let _ = writeln!(s, "    }}{}", if i + 1 < rows.len() { "," } else { "" });
-    }
-    let _ = writeln!(s, "  ]");
-    let _ = write!(s, "}}");
-    s
+            .map(|&(t, us)| (t.to_string(), Json::fixed(us, 4)));
+        Json::obj([
+            ("graph", r.graph.as_str().into()),
+            ("nodes", r.nodes.into()),
+            ("backend", r.backend.into()),
+            ("rows", r.rows.into()),
+            ("scalar_rows_measured", r.scalar_rows_measured.into()),
+            ("scalar_us_per_row", Json::fixed(r.scalar_us_per_row, 4)),
+            ("tape_us_per_row", Json::obj(tape)),
+            ("speedup_1t", Json::fixed(r.speedup_1t, 2)),
+            ("speedup_8t", Json::fixed(r.speedup_8t, 2)),
+            ("compile_us", Json::fixed(r.compile_us, 2)),
+            ("optimize_us", Json::fixed(r.optimize_us, 2)),
+            ("cached_compile_us", Json::fixed(r.cached_compile_us, 2)),
+            ("opt_nodes_before", r.opt_nodes_before.into()),
+            ("opt_nodes_after", r.opt_nodes_after.into()),
+            ("instrs", r.instrs.into()),
+            ("chunk_size", r.chunk_size.into()),
+            (
+                "steal",
+                steal(r.steal_workers, r.steal_claims, r.steal_steals),
+            ),
+            ("bitwise_equal", r.bitwise_equal.into()),
+        ])
+    });
+    Json::obj([
+        ("bench", "throughput".into()),
+        ("rows_per_graph", rows_per_graph.into()),
+        ("seed", seed.into()),
+        ("hardware_threads", threads_avail.into()),
+        (
+            "tape_cache",
+            Json::obj([
+                ("hits", c.hits.into()),
+                ("misses", c.misses.into()),
+                ("evictions", c.evictions.into()),
+                ("entries", c.entries.into()),
+                ("capacity", c.capacity.into()),
+                ("hit_rate", Json::fixed(hit_rate, 4)),
+            ]),
+        ),
+        (
+            "eval_many",
+            Json::obj([
+                ("requests", many.requests.into()),
+                ("rows_total", many.rows_total.into()),
+                ("many_us", Json::fixed(many.many_us, 2)),
+                ("sequential_us", Json::fixed(many.sequential_us, 2)),
+                (
+                    "speedup_vs_sequential",
+                    Json::fixed(many.speedup_vs_sequential, 2),
+                ),
+                ("bitwise_equal", many.bitwise_equal.into()),
+                ("steal", steal(many.workers, many.claims, many.steals)),
+            ]),
+        ),
+        ("entries", Json::arr(entries)),
+    ])
+    .to_string()
 }

@@ -1,9 +1,9 @@
 //! Dependency-free native code generation for the IEEE fast path.
 //!
 //! [`compile_module`] lowers a validated [`Tape`] to executable machine
-//! code — x86-64 (SSE2 scalar `movsd`/`addsd`/`mulsd`, plus
+//! code — x86-64 only (SSE2 scalar `movsd`/`addsd`/`mulsd`, plus
 //! `vfmadd213sd` in [`JitSemantics::F64`] mode when FMA3 is detected at
-//! runtime) or aarch64 (`fmadd`) — in an mmap'd W^X code buffer. The
+//! runtime) — in an mmap'd W^X code buffer. The
 //! emitted function evaluates **one row** and returns a bail flag; see
 //! `docs/JIT.md` for the ABI, the W^X policy and the bailout contract.
 //!
@@ -54,9 +54,11 @@ use std::sync::OnceLock;
 /// `s = v.to_bits() << 1` is subnormal iff `0 < s < SUB_WINDOW`, and
 /// triggers the interpreter's soft-float fallback iff
 /// `s != 0 && (s <= SUB_WINDOW || s > INF_WINDOW)`.
+#[cfg(all(unix, target_arch = "x86_64"))]
 const SUB_WINDOW: u64 = 0x0020_0000_0000_0000;
 /// `2 · f64::INFINITY.to_bits()` — sign-stripped infinity; anything
 /// above is a NaN.
+#[cfg(all(unix, target_arch = "x86_64"))]
 const INF_WINDOW: u64 = 0xFFE0_0000_0000_0000;
 
 /// Which interpreter the emitted code must be bit-identical to.
@@ -83,6 +85,7 @@ impl fmt::Display for JitSemantics {
 /// The emitted per-row entry point: `fn(row, out, consts) -> bail`.
 /// Returns 0 when the row completed natively, nonzero when it must be
 /// re-evaluated by the interpreter.
+#[cfg(all(unix, target_arch = "x86_64"))]
 type RowFn = unsafe extern "C" fn(*const f64, *mut f64, *const f64) -> u64;
 
 /// True when `CSFMA_JIT` does not disable the JIT (read once, cached).
@@ -97,21 +100,18 @@ pub fn jit_env_enabled() -> bool {
 }
 
 /// True when this build can emit and run native code at all: a unix
-/// host on x86-64 or aarch64, with the JIT not disabled by
-/// [`jit_env_enabled`]. When false, `--backend jit` is pure interpreter
-/// fallback (still bit-exact, just not faster).
+/// host on x86-64, with the JIT not disabled by [`jit_env_enabled`].
+/// When false, `--backend jit` is pure interpreter fallback (still
+/// bit-exact, just not faster).
 pub fn jit_available() -> bool {
-    cfg!(all(
-        unix,
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    )) && jit_env_enabled()
+    cfg!(all(unix, target_arch = "x86_64")) && jit_env_enabled()
 }
 
 // ---------------------------------------------------------------------
 // W^X code buffer
 // ---------------------------------------------------------------------
 
-#[cfg(unix)]
+#[cfg(all(unix, target_arch = "x86_64"))]
 mod mem {
     //! Raw `mmap`/`mprotect`/`munmap` bindings — the workspace is
     //! dependency-free, and std already links libc on unix.
@@ -178,16 +178,6 @@ mod mem {
                 unsafe { munmap(ptr as *mut c_void, len) };
                 return None;
             }
-            #[cfg(target_arch = "aarch64")]
-            {
-                extern "C" {
-                    fn __clear_cache(start: *mut core::ffi::c_char, end: *mut core::ffi::c_char);
-                }
-                // SAFETY: flushing the icache over our own mapping.
-                unsafe {
-                    __clear_cache(ptr as *mut _, ptr.add(len) as *mut _);
-                }
-            }
             Some(CodeBuf { ptr, len })
         }
 
@@ -223,7 +213,7 @@ mod mem {
 /// A compiled native module for one [`Tape`]: one per-row function in a
 /// sealed W^X buffer, plus the constant pool it reads and the
 /// pseudo-assembly dump `csfma-run --dump-jit` prints.
-#[cfg(unix)]
+#[cfg(all(unix, target_arch = "x86_64"))]
 pub struct JitModule {
     buf: mem::CodeBuf,
     /// The constant pool the emitted code indexes (canonicalized for
@@ -238,7 +228,7 @@ pub struct JitModule {
     dump: String,
 }
 
-#[cfg(unix)]
+#[cfg(all(unix, target_arch = "x86_64"))]
 impl JitModule {
     /// Evaluate one row natively. `true` means `out` now holds the
     /// row's outputs, bit-identical to the interpreter; `false` means a
@@ -280,7 +270,7 @@ impl JitModule {
     }
 }
 
-#[cfg(unix)]
+#[cfg(all(unix, target_arch = "x86_64"))]
 impl fmt::Debug for JitModule {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("JitModule")
@@ -292,17 +282,23 @@ impl fmt::Debug for JitModule {
     }
 }
 
-/// Non-unix stand-in so `Tape` always has the field type; never
-/// constructed ([`compile_module`] returns `None`).
-#[cfg(not(unix))]
+/// Stand-in on hosts without the emitter (anything but unix x86-64) so
+/// `Tape` always has the field type; never constructed
+/// ([`compile_module`] returns `None`).
+#[cfg(not(all(unix, target_arch = "x86_64")))]
 #[derive(Debug)]
 pub struct JitModule {}
 
-#[cfg(not(unix))]
+#[cfg(not(all(unix, target_arch = "x86_64")))]
 impl JitModule {
     /// Never reachable on this platform.
     pub fn run_row(&self, _row: &[f64], _out: &mut [f64]) -> bool {
         false
+    }
+
+    /// Never reachable on this platform.
+    pub fn semantics(&self) -> JitSemantics {
+        JitSemantics::Bit
     }
 
     /// Never reachable on this platform.
@@ -422,10 +418,6 @@ pub fn compile_module(tape: &Tape, semantics: JitSemantics) -> Option<JitModule>
     {
         return x86::emit(tape, semantics).and_then(|e| seal(tape, semantics, e));
     }
-    #[cfg(all(unix, target_arch = "aarch64"))]
-    {
-        return a64::emit(tape, semantics).and_then(|e| seal(tape, semantics, e));
-    }
     #[allow(unreachable_code)]
     {
         let _ = (tape, semantics);
@@ -435,7 +427,7 @@ pub fn compile_module(tape: &Tape, semantics: JitSemantics) -> Option<JitModule>
 
 /// Emitter output: machine code, dump text, native instruction count,
 /// guard count.
-#[cfg(unix)]
+#[cfg(all(unix, target_arch = "x86_64"))]
 struct Emitted {
     code: Vec<u8>,
     dump: String,
@@ -443,7 +435,7 @@ struct Emitted {
     guards: usize,
 }
 
-#[cfg(unix)]
+#[cfg(all(unix, target_arch = "x86_64"))]
 fn seal(tape: &Tape, semantics: JitSemantics, e: Emitted) -> Option<JitModule> {
     let buf = mem::CodeBuf::new(&e.code)?;
     let consts = match semantics {
@@ -463,10 +455,10 @@ fn seal(tape: &Tape, semantics: JitSemantics, e: Emitted) -> Option<JitModule> {
 }
 
 /// Where a tape register slot lives in the native frame.
-#[cfg(unix)]
+#[cfg(all(unix, target_arch = "x86_64"))]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Loc {
-    /// A hardware FP register (xmm*N* / d*N*).
+    /// A hardware FP register (xmm*N*).
     Reg(u8),
     /// A stack spill at `[sp + byte_offset]`.
     Spill(u32),
@@ -815,310 +807,6 @@ mod x86 {
         for fix in std::mem::take(&mut a.bail_fixups) {
             let rel = (bail as i64 - (fix as i64 + 4)) as i32;
             a.code[fix..fix + 4].copy_from_slice(&rel.to_le_bytes());
-        }
-        let _ = writeln!(
-            a.dump,
-            "; {} guard(s), {} byte(s) of code",
-            a.guards,
-            a.code.len()
-        );
-
-        Some(Emitted {
-            code: a.code,
-            dump: a.dump,
-            native_instrs: native,
-            guards: a.guards,
-        })
-    }
-}
-
-// ---------------------------------------------------------------------
-// aarch64 emitter
-// ---------------------------------------------------------------------
-
-#[cfg(all(unix, target_arch = "aarch64"))]
-mod a64 {
-    //! AAPCS64 emitter. ABI of the emitted function: `x0` = row
-    //! pointer, `x1` = out pointer, `x2` = consts pointer; returns `x0`
-    //! (0 = ok, 1 = bail). Register plan: tape slots 0..=17 live in the
-    //! caller-saved pool `d0`..`d7`, `d16`..`d25`; further slots spill.
-    //! `d28`/`d29` are FMA operand temps, `d30` is the working
-    //! register, `x9`/`x10` hold the guard windows and `x11` is the
-    //! guard scratch. `d8`..`d15` (callee-saved) are never touched.
-
-    use super::{Emitted, JitSemantics, Loc, INF_WINDOW, SUB_WINDOW};
-    use crate::compile::{Instr, Tape};
-    use std::fmt::Write as _;
-
-    /// Slots resident in FP registers; the rest spill.
-    const REG_SLOTS: u32 = 18;
-    /// The caller-saved register pool backing slots `0..REG_SLOTS`.
-    const POOL: [u8; 18] = [
-        0, 1, 2, 3, 4, 5, 6, 7, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25,
-    ];
-
-    struct Asm {
-        code: Vec<u8>,
-        dump: String,
-        bail_fixups: Vec<usize>,
-        guards: usize,
-    }
-
-    impl Asm {
-        fn ins(&mut self, word: u32) {
-            self.code.extend_from_slice(&word.to_le_bytes());
-        }
-
-        /// `ldr d<t>, [x<n>, #off]` (off in bytes, 8-aligned).
-        fn ldr_d(&mut self, t: u8, n: u8, off: u32) {
-            self.ins(0xFD40_0000 | ((off / 8) << 10) | ((n as u32) << 5) | t as u32);
-        }
-
-        /// `str d<t>, [x<n>, #off]`.
-        fn str_d(&mut self, t: u8, n: u8, off: u32) {
-            self.ins(0xFD00_0000 | ((off / 8) << 10) | ((n as u32) << 5) | t as u32);
-        }
-
-        /// Copy a slot into FP register `d<x>`.
-        fn load_slot(&mut self, x: u8, loc: Loc) {
-            match loc {
-                Loc::Reg(r) if r == x => {}
-                Loc::Reg(r) => self.ins(0x1E60_4000 | ((r as u32) << 5) | x as u32), // fmov
-                Loc::Spill(off) => self.ldr_d(x, 31, off),
-            }
-        }
-
-        /// Copy FP register `d<x>` into a slot.
-        fn store_slot(&mut self, x: u8, loc: Loc) {
-            match loc {
-                Loc::Reg(r) if r == x => {}
-                Loc::Reg(r) => self.ins(0x1E60_4000 | ((x as u32) << 5) | r as u32),
-                Loc::Spill(off) => self.str_d(x, 31, off),
-            }
-        }
-
-        /// Materialize a 64-bit immediate into `x<t>` (movz + movk).
-        fn mov_imm64(&mut self, t: u8, v: u64) {
-            let mut first = true;
-            for hw in 0..4u32 {
-                let part = ((v >> (hw * 16)) & 0xFFFF) as u32;
-                if part == 0 && !(first && hw == 3) {
-                    continue;
-                }
-                let op = if first { 0xD280_0000 } else { 0xF280_0000 };
-                self.ins(op | (hw << 21) | (part << 5) | t as u32);
-                first = false;
-            }
-            if first {
-                self.ins(0xD280_0000 | t as u32); // movz x<t>, #0
-            }
-        }
-
-        /// Record a conditional branch to be patched to the bail label.
-        fn bail_branch(&mut self, cond: u32) {
-            self.bail_fixups.push(self.code.len());
-            self.ins(0x5400_0000 | cond);
-        }
-
-        /// Bailout guard over `d30` (see the x86 twin for the window
-        /// semantics). `b.ls` for the result window, `b.lo` for loads.
-        fn guard30(&mut self, result_window: bool) {
-            self.ins(0x9E66_03CB); // fmov x11, d30
-            self.ins(0x8B0B_016B); // add x11, x11, x11
-            self.ins(0xB400_00AB); // cbz x11, +5 instructions
-            self.ins(0xEB09_017F); // cmp x11, x9
-            self.bail_branch(if result_window { 9 } else { 3 }); // b.ls / b.lo
-            self.ins(0xEB0A_017F); // cmp x11, x10
-            self.bail_branch(8); // b.hi
-            self.guards += 1;
-        }
-    }
-
-    /// Lower `tape` to aarch64 machine code (twin of the x86 emitter).
-    pub(super) fn emit(tape: &Tape, semantics: JitSemantics) -> Option<Emitted> {
-        if semantics == JitSemantics::Bit && super::jit_refusal(tape).is_some() {
-            return None;
-        }
-        let nf = tape.num_f64_regs() as u32;
-        let ncs = tape.num_cs_regs() as u32;
-        let slots = match semantics {
-            JitSemantics::Bit => nf,
-            JitSemantics::F64 => nf + ncs,
-        };
-        let spill_slots = slots.saturating_sub(REG_SLOTS);
-        let frame = (spill_slots * 8).div_ceil(16) * 16;
-        if frame > 4080 {
-            return None; // keeps every sp offset a valid scaled imm12
-        }
-        let f_loc = |r: u32| -> Loc {
-            if r < REG_SLOTS {
-                Loc::Reg(POOL[r as usize])
-            } else {
-                Loc::Spill((r - REG_SLOTS) * 8)
-            }
-        };
-        let cs_loc = |c: u32| f_loc(nf + c);
-
-        let mut a = Asm {
-            code: Vec::new(),
-            dump: String::new(),
-            bail_fixups: Vec::new(),
-            guards: 0,
-        };
-        let guarded = semantics == JitSemantics::Bit;
-        let _ = writeln!(
-            a.dump,
-            "; jit module: aarch64, semantics={semantics}, {} tape instr(s), \
-             {slots} slot(s) ({spill_slots} spilled, {frame}-byte frame)",
-            tape.instrs().len(),
-        );
-        let _ = writeln!(
-            a.dump,
-            "; abi: fn(row=x0, out=x1, consts=x2) -> x0 (0=ok, 1=bail)"
-        );
-
-        if frame > 0 {
-            a.ins(0xD100_03FF | (frame << 10)); // sub sp, sp, #frame
-        }
-        if guarded {
-            a.mov_imm64(9, SUB_WINDOW);
-            a.mov_imm64(10, INF_WINDOW);
-        }
-
-        let promoted = |i: usize| tape.promoted.get(i).copied().unwrap_or(false);
-        let mut native = 0usize;
-        for (i, ins) in tape.instrs().iter().enumerate() {
-            let note = match *ins {
-                Instr::LoadInput { dst, input } => {
-                    a.ldr_d(30, 0, input * 8);
-                    if guarded {
-                        a.guard30(false);
-                    }
-                    a.store_slot(30, f_loc(dst));
-                    format!(
-                        "r{dst} = row[{input}]{}",
-                        if guarded { "  ; guard-load" } else { "" }
-                    )
-                }
-                Instr::LoadConst { dst, idx } => {
-                    a.ldr_d(30, 2, idx * 8);
-                    a.store_slot(30, f_loc(dst));
-                    format!("r{dst} = consts[{idx}]")
-                }
-                Instr::Add { dst, a: x, b }
-                | Instr::Sub { dst, a: x, b }
-                | Instr::Mul { dst, a: x, b }
-                | Instr::Div { dst, a: x, b } => {
-                    let (op, sym): (u32, char) = match ins {
-                        Instr::Add { .. } => (0x1E60_2800, '+'),
-                        Instr::Sub { .. } => (0x1E60_3800, '-'),
-                        Instr::Mul { .. } => (0x1E60_0800, '*'),
-                        _ => (0x1E60_1800, '/'),
-                    };
-                    a.load_slot(30, f_loc(x));
-                    let m = match f_loc(b) {
-                        Loc::Reg(r) => r,
-                        Loc::Spill(off) => {
-                            a.ldr_d(29, 31, off);
-                            29
-                        }
-                    };
-                    // f<op> d30, d30, d<m>
-                    a.ins(op | ((m as u32) << 16) | (30 << 5) | 30);
-                    let guard = guarded && !promoted(i);
-                    if guard {
-                        a.guard30(true);
-                    }
-                    a.store_slot(30, f_loc(dst));
-                    format!(
-                        "r{dst} = r{x} {sym} r{b}{}",
-                        if guard {
-                            "  ; guard-result"
-                        } else if guarded {
-                            "  ; promoted"
-                        } else {
-                            ""
-                        }
-                    )
-                }
-                Instr::Neg { dst, a: x } => {
-                    a.load_slot(30, f_loc(x));
-                    a.ins(0x1E61_43DE); // fneg d30, d30
-                    a.store_slot(30, f_loc(dst));
-                    format!("r{dst} = -r{x}")
-                }
-                Instr::Fma {
-                    negate_b,
-                    dst,
-                    acc,
-                    b,
-                    mulc,
-                    ..
-                } => {
-                    a.load_slot(30, f_loc(b));
-                    if negate_b {
-                        a.ins(0x1E61_43DE); // fneg d30, d30
-                    }
-                    let m = match cs_loc(mulc) {
-                        Loc::Reg(r) => r,
-                        Loc::Spill(off) => {
-                            a.ldr_d(29, 31, off);
-                            29
-                        }
-                    };
-                    let acc_r = match cs_loc(acc) {
-                        Loc::Reg(r) => r,
-                        Loc::Spill(off) => {
-                            a.ldr_d(28, 31, off);
-                            28
-                        }
-                    };
-                    // fmadd d30, d30, d<m>, d<acc>
-                    a.ins(
-                        0x1F40_0000 | ((m as u32) << 16) | ((acc_r as u32) << 10) | (30 << 5) | 30,
-                    );
-                    a.store_slot(30, cs_loc(dst));
-                    format!(
-                        "c{dst} = fma({}r{b}, c{mulc}, c{acc})  ; fmadd",
-                        if negate_b { "-" } else { "" }
-                    )
-                }
-                Instr::IeeeToCs { dst, src, .. } => {
-                    a.load_slot(30, f_loc(src));
-                    a.store_slot(30, cs_loc(dst));
-                    format!("c{dst} = r{src}  ; wiring")
-                }
-                Instr::CsToIeee { dst, src } => {
-                    a.load_slot(30, cs_loc(src));
-                    a.store_slot(30, f_loc(dst));
-                    format!("r{dst} = c{src}  ; wiring")
-                }
-                Instr::Store { output, src } => {
-                    a.load_slot(30, f_loc(src));
-                    a.str_d(30, 1, output * 8);
-                    format!("out[{output}] = r{src}")
-                }
-            };
-            native += 1;
-            let _ = writeln!(a.dump, "  {i:4}: {note}");
-        }
-
-        a.ins(0xD280_0000); // mov x0, #0
-        if frame > 0 {
-            a.ins(0x9100_03FF | (frame << 10)); // add sp, sp, #frame
-        }
-        a.ins(0xD65F_03C0); // ret
-        let bail = a.code.len();
-        a.ins(0xD280_0020); // mov x0, #1
-        if frame > 0 {
-            a.ins(0x9100_03FF | (frame << 10));
-        }
-        a.ins(0xD65F_03C0);
-        for fix in std::mem::take(&mut a.bail_fixups) {
-            let rel = ((bail as i64 - fix as i64) / 4) as i32;
-            let imm19 = (rel as u32 & 0x7FFFF) << 5;
-            let word = u32::from_le_bytes(a.code[fix..fix + 4].try_into().unwrap()) | imm19;
-            a.code[fix..fix + 4].copy_from_slice(&word.to_le_bytes());
         }
         let _ = writeln!(
             a.dump,

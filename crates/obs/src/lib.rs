@@ -14,11 +14,7 @@
 //!   traffic), cheap enough to live inside the behavioral units;
 //! * [`Histogram`] — fixed-bucket atomic histograms (SoA chunk
 //!   occupancy);
-//! * an opt-in subscriber bridge (`ObsSubscriber`, feature
-//!   `obs-tracing`) that streams span/counter events to a process-global
-//!   sink — an offline stand-in for a `tracing` `Subscriber` (the
-//!   workspace builds without registry access, so the real `tracing`
-//!   crate is deliberately not a dependency).
+//! * [`json`] — the workspace's one JSON value, parser and renderer.
 //!
 //! ## The determinism contract
 //!
@@ -35,13 +31,16 @@
 //! own default-on `obs` feature down to `csfma-obs/enabled`), every
 //! entry point here is an inlined empty function over zero-sized state:
 //! the disabled path compiles to no-ops, not to branches over a runtime
-//! flag. [`time_us`] is the one deliberate exception — it is an explicit
-//! stopwatch for benchmark harnesses, not engine instrumentation, and
-//! keeps real timing in every configuration.
+//! flag. [`time_us`] and [`json`] are the deliberate exceptions: a
+//! stopwatch for benchmark harnesses and the document format, neither of
+//! them engine instrumentation, both working in every configuration.
 
 #![warn(missing_docs)]
 
 use std::fmt;
+
+pub mod json;
+pub use json::Json;
 
 #[cfg(feature = "enabled")]
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -276,7 +275,6 @@ impl Profiler {
             });
             inner.starts.push(Some(Instant::now()));
             inner.stack.push(idx);
-            subscriber::span_enter(name, inner.stack.len() - 1);
             return SpanToken(idx);
         }
         let _ = name;
@@ -296,7 +294,6 @@ impl Profiler {
             while let Some(open) = inner.stack.pop() {
                 if let Some(start) = inner.starts[open].take() {
                     inner.records[open].wall_us = start.elapsed().as_secs_f64() * 1e6;
-                    subscriber::span_exit(inner.records[open].name, inner.records[open].wall_us);
                 }
                 if open == token.0 {
                     return;
@@ -328,7 +325,6 @@ impl Profiler {
     pub fn set_counter(&mut self, name: &'static str, value: f64) {
         #[cfg(feature = "enabled")]
         if let Some(inner) = &mut self.inner {
-            subscriber::counter(name, value);
             if let Some(slot) = inner.counters.iter_mut().find(|(n, _)| *n == name) {
                 slot.1 = value;
                 return;
@@ -344,7 +340,6 @@ impl Profiler {
     pub fn add_counter(&mut self, name: &'static str, value: f64) {
         #[cfg(feature = "enabled")]
         if let Some(inner) = &mut self.inner {
-            subscriber::counter(name, value);
             if let Some(slot) = inner.counters.iter_mut().find(|(n, _)| *n == name) {
                 slot.1 += value;
                 return;
@@ -447,48 +442,30 @@ impl PipelineReport {
 
     /// Serialize as a self-contained JSON object:
     /// `{"recorded": …, "stages": [{"name","depth","wall_us"}…],
-    /// "counters": {…}, "warnings": […]}`. Hand-rolled — the workspace
-    /// has no JSON dependency — with round-trip-precision numbers.
+    /// "counters": {…}, "warnings": […]}`.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        let _ = writeln!(s, "{{");
-        let _ = writeln!(s, "  \"recorded\": {},", self.recorded);
-        let _ = writeln!(s, "  \"stages\": [");
-        for (i, st) in self.stages.iter().enumerate() {
-            let _ = writeln!(
-                s,
-                "    {{\"name\": \"{}\", \"depth\": {}, \"wall_us\": {:.3}}}{}",
-                st.name,
-                st.depth,
-                st.wall_us,
-                if i + 1 < self.stages.len() { "," } else { "" }
-            );
-        }
-        let _ = writeln!(s, "  ],");
-        let _ = writeln!(s, "  \"counters\": {{");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            // counters are logically integers or rates; print either way
-            let comma = if i + 1 < self.counters.len() { "," } else { "" };
-            if v.fract() == 0.0 && v.abs() < 9e15 {
-                let _ = writeln!(s, "    \"{name}\": {}{comma}", *v as i64);
-            } else {
-                let _ = writeln!(s, "    \"{name}\": {v:.4}{comma}");
-            }
-        }
-        let _ = writeln!(s, "  }},");
-        let _ = writeln!(s, "  \"warnings\": [");
-        for (i, w) in self.warnings.iter().enumerate() {
-            let _ = writeln!(
-                s,
-                "    \"{}\"{}",
-                w.replace('\\', "\\\\").replace('"', "\\\""),
-                if i + 1 < self.warnings.len() { "," } else { "" }
-            );
-        }
-        let _ = writeln!(s, "  ]");
-        let _ = write!(s, "}}");
-        s
+        let stages = self.stages.iter().map(|st| {
+            Json::obj([
+                ("name", st.name.into()),
+                ("depth", st.depth.into()),
+                ("wall_us", Json::fixed(st.wall_us, 3)),
+            ])
+        });
+        // counters are logically integers or rates; print either way
+        let counters = self.counters.iter().map(|&(name, v)| {
+            let integral = v.fract() == 0.0 && v.abs() < 9e15;
+            (name, Json::fixed(v, if integral { 0 } else { 4 }))
+        });
+        Json::obj([
+            ("recorded", self.recorded.into()),
+            ("stages", Json::arr(stages)),
+            ("counters", Json::obj(counters)),
+            (
+                "warnings",
+                Json::arr(self.warnings.iter().map(String::as_str)),
+            ),
+        ])
+        .to_string()
     }
 }
 
@@ -522,158 +499,6 @@ impl fmt::Display for PipelineReport {
         }
         Ok(())
     }
-}
-
-// ---------------------------------------------------------------------
-// subscriber bridge (feature `obs-tracing`)
-// ---------------------------------------------------------------------
-
-/// Event sink for the opt-in streaming bridge (feature `obs-tracing`):
-/// an offline stand-in for a `tracing` `Subscriber`. Install one with
-/// [`set_subscriber`]; every recording [`Profiler`] then forwards span
-/// and counter events as they happen, in addition to building its
-/// report. Implementations must tolerate concurrent calls from multiple
-/// profilers on multiple threads.
-#[cfg(feature = "obs-tracing")]
-pub trait ObsSubscriber: Send + Sync {
-    /// A span opened (`depth` as in [`StageRecord`]).
-    fn on_span_enter(&self, name: &'static str, depth: usize);
-    /// A span closed after `wall_us` microseconds.
-    fn on_span_exit(&self, name: &'static str, wall_us: f64);
-    /// A counter was set or bumped to `value`.
-    fn on_counter(&self, name: &'static str, value: f64);
-}
-
-/// Install the process-global subscriber. Returns `false` (and keeps
-/// the existing one) if a subscriber was already installed — the global
-/// is write-once, mirroring `tracing::subscriber::set_global_default`.
-#[cfg(feature = "obs-tracing")]
-pub fn set_subscriber(sub: Box<dyn ObsSubscriber>) -> bool {
-    subscriber::GLOBAL.set(sub).is_ok()
-}
-
-#[cfg(feature = "obs-tracing")]
-mod subscriber {
-    use super::ObsSubscriber;
-    use std::sync::OnceLock;
-
-    pub(crate) static GLOBAL: OnceLock<Box<dyn ObsSubscriber>> = OnceLock::new();
-
-    #[inline]
-    pub(crate) fn span_enter(name: &'static str, depth: usize) {
-        if let Some(s) = GLOBAL.get() {
-            s.on_span_enter(name, depth);
-        }
-    }
-
-    #[inline]
-    pub(crate) fn span_exit(name: &'static str, wall_us: f64) {
-        if let Some(s) = GLOBAL.get() {
-            s.on_span_exit(name, wall_us);
-        }
-    }
-
-    #[inline]
-    pub(crate) fn counter(name: &'static str, value: f64) {
-        if let Some(s) = GLOBAL.get() {
-            s.on_counter(name, value);
-        }
-    }
-}
-
-#[cfg(all(feature = "enabled", not(feature = "obs-tracing")))]
-mod subscriber {
-    #[inline(always)]
-    pub(crate) fn span_enter(_: &'static str, _: usize) {}
-    #[inline(always)]
-    pub(crate) fn span_exit(_: &'static str, _: f64) {}
-    #[inline(always)]
-    pub(crate) fn counter(_: &'static str, _: f64) {}
-}
-
-// ---------------------------------------------------------------------
-// serve counters
-// ---------------------------------------------------------------------
-
-/// Bucket count of the [`serve_counts`] queue-depth histogram: one
-/// bucket per admission-queue depth `0..N-1`, deeper clamps into the
-/// last bucket.
-pub const SERVE_QUEUE_BUCKETS: usize = 16;
-
-static SERVE_ACCEPTED: Counter = Counter::new();
-static SERVE_SHED: Counter = Counter::new();
-static SERVE_DEADLINE: Counter = Counter::new();
-static SERVE_RETRY: Counter = Counter::new();
-static SERVE_QUARANTINE: Counter = Counter::new();
-static SERVE_QUEUE_DEPTH: Histogram<SERVE_QUEUE_BUCKETS> = Histogram::new();
-
-/// Snapshot of the batch-evaluation server's process-wide counters
-/// (`serve_*` in profile output). All zeros when observability is
-/// compiled out — `csfma-serve` keeps its own authoritative
-/// `ServeStats` independent of this layer, so responses do not change.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ServeCounts {
-    /// Requests admitted past the admission gate.
-    pub accepted: u64,
-    /// Requests rejected with a `SHED` response (queue or byte budget).
-    pub shed: u64,
-    /// Requests that ran out of deadline at a chunk boundary.
-    pub deadline: u64,
-    /// Engine-level retries after a contained evaluation panic.
-    pub retries: u64,
-    /// Rows quarantined (NaN-poisoned) by the robust ladder under serve.
-    pub quarantined: u64,
-    /// Admission-queue depth observed at each submit, one bucket per
-    /// depth (clamped into the last bucket).
-    pub queue_depth: [u64; SERVE_QUEUE_BUCKETS],
-}
-
-/// Snapshot the `serve_*` counters.
-pub fn serve_counts() -> ServeCounts {
-    ServeCounts {
-        accepted: SERVE_ACCEPTED.get(),
-        shed: SERVE_SHED.get(),
-        deadline: SERVE_DEADLINE.get(),
-        retries: SERVE_RETRY.get(),
-        quarantined: SERVE_QUARANTINE.get(),
-        queue_depth: SERVE_QUEUE_DEPTH.snapshot(),
-    }
-}
-
-/// Count one admitted request.
-#[inline(always)]
-pub fn count_serve_accepted() {
-    SERVE_ACCEPTED.incr();
-}
-
-/// Count one load-shed rejection.
-#[inline(always)]
-pub fn count_serve_shed() {
-    SERVE_SHED.incr();
-}
-
-/// Count one deadline expiry.
-#[inline(always)]
-pub fn count_serve_deadline() {
-    SERVE_DEADLINE.incr();
-}
-
-/// Count `n` engine-level retries.
-#[inline(always)]
-pub fn count_serve_retries(n: u64) {
-    SERVE_RETRY.add(n);
-}
-
-/// Count `n` quarantined rows.
-#[inline(always)]
-pub fn count_serve_quarantined(n: u64) {
-    SERVE_QUARANTINE.add(n);
-}
-
-/// Record the admission-queue depth observed at one submit.
-#[inline(always)]
-pub fn record_serve_queue_depth(depth: usize) {
-    SERVE_QUEUE_DEPTH.record(depth);
 }
 
 #[cfg(test)]
@@ -745,10 +570,11 @@ mod tests {
         }
         assert_eq!(rep.counter("rows"), Some(15.0));
         assert_eq!(rep.counter("rate"), Some(3.5));
-        let json = rep.to_json();
-        assert!(json.contains("\"rows\": 15"), "{json}");
-        assert!(json.contains("\"rate\": 3.5"), "{json}");
-        assert!(json.contains("\"recorded\": true"), "{json}");
+        let doc = Json::parse(&rep.to_json()).unwrap();
+        let counters = doc.get("counters").unwrap();
+        assert_eq!(counters.get("rows").and_then(Json::as_u64), Some(15));
+        assert_eq!(counters.get("rate").and_then(Json::as_f64), Some(3.5));
+        assert_eq!(doc.get("recorded"), Some(&Json::Bool(true)));
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! These are the *authoritative* counters the acceptance gate reconciles
 //! against client-observed outcomes (every submitted frame gets exactly
 //! one terminal response, and `accepted + shed + refusals` must cover
-//! every SUBMIT seen). The `serve_*` counters in `csfma-obs` mirror a
-//! subset for profile output but compile away with observability;
-//! these do not.
+//! every SUBMIT seen). They are the server's one ledger, always on:
+//! observability features do not change them.
 
+use csfma_obs::Json;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Buckets of the admission queue-depth histogram (depth `0..15`,
@@ -83,8 +83,6 @@ impl ServeStats {
     /// Record the admission-queue depth observed at one SUBMIT.
     pub fn record_queue_depth(&self, depth: usize) {
         self.queue_depth[depth.min(QUEUE_DEPTH_BUCKETS - 1)].fetch_add(1, Ordering::Relaxed);
-        #[cfg(feature = "obs")]
-        csfma_obs::record_serve_queue_depth(depth);
     }
 
     /// Copy every counter.
@@ -111,51 +109,34 @@ impl ServeStats {
 }
 
 impl StatsSnapshot {
-    /// Render as a flat JSON object (hand-rolled: the workspace builds
-    /// offline, with no serde).
+    /// Render as a JSON object: every counter, then `queue_depth`.
     pub fn to_json(&self) -> String {
-        let buckets: Vec<String> = self.queue_depth.iter().map(u64::to_string).collect();
-        format!(
-            concat!(
-                "{{\"accepted\":{},\"shed\":{},\"deadline\":{},\"retries\":{},",
-                "\"quarantined_rows\":{},\"results\":{},\"errors\":{},\"refusals\":{},",
-                "\"connections\":{},\"panics_contained\":{},\"rate_limited\":{},",
-                "\"queue_depth\":[{}]}}"
-            ),
-            self.accepted,
-            self.shed,
-            self.deadline,
-            self.retries,
-            self.quarantined_rows,
-            self.results,
-            self.errors,
-            self.refusals,
-            self.connections,
-            self.panics_contained,
-            self.rate_limited,
-            buckets.join(",")
-        )
+        Json::obj([
+            ("accepted", self.accepted.into()),
+            ("shed", self.shed.into()),
+            ("deadline", self.deadline.into()),
+            ("retries", self.retries.into()),
+            ("quarantined_rows", self.quarantined_rows.into()),
+            ("results", self.results.into()),
+            ("errors", self.errors.into()),
+            ("refusals", self.refusals.into()),
+            ("connections", self.connections.into()),
+            ("panics_contained", self.panics_contained.into()),
+            ("rate_limited", self.rate_limited.into()),
+            ("queue_depth", Json::arr(self.queue_depth)),
+        ])
+        .to_string()
     }
 
-    /// Parse the exact document [`StatsSnapshot::to_json`] produces
-    /// (clients use this to read STATS responses; it is not a general
-    /// JSON parser).
+    /// Parse a STATS document ([`StatsSnapshot::to_json`]'s shape).
+    /// `None` if it is not JSON or lacks a counter.
     pub fn from_json(s: &str) -> Option<StatsSnapshot> {
-        let field = |name: &str| -> Option<u64> {
-            let key = format!("\"{name}\":");
-            let at = s.find(&key)? + key.len();
-            let rest = &s[at..];
-            let end = rest.find([',', '}', ']']).unwrap_or(rest.len());
-            rest[..end].trim().parse().ok()
-        };
+        let doc = Json::parse(s).ok()?;
+        let field = |name: &str| doc.get(name).and_then(Json::as_u64);
         let mut queue_depth = [0u64; QUEUE_DEPTH_BUCKETS];
-        let qk = "\"queue_depth\":[";
-        let qa = s.find(qk)? + qk.len();
-        let qb = s[qa..].find(']')? + qa;
-        for (i, tok) in s[qa..qb].split(',').enumerate() {
-            if i < QUEUE_DEPTH_BUCKETS {
-                queue_depth[i] = tok.trim().parse().ok()?;
-            }
+        let buckets = doc.get("queue_depth").and_then(Json::as_arr)?;
+        for (o, b) in queue_depth.iter_mut().zip(buckets) {
+            *o = b.as_u64()?;
         }
         Some(StatsSnapshot {
             accepted: field("accepted")?,
@@ -193,5 +174,24 @@ mod tests {
         assert_eq!(snap.queue_depth[QUEUE_DEPTH_BUCKETS - 1], 1);
         let json = snap.to_json();
         assert_eq!(StatsSnapshot::from_json(&json), Some(snap));
+    }
+
+    #[test]
+    fn u64_max_counters_round_trip_exactly() {
+        let snap = StatsSnapshot {
+            accepted: u64::MAX,
+            shed: u64::MAX,
+            deadline: u64::MAX,
+            retries: u64::MAX,
+            quarantined_rows: u64::MAX,
+            results: u64::MAX,
+            errors: u64::MAX,
+            refusals: u64::MAX,
+            connections: u64::MAX,
+            panics_contained: u64::MAX,
+            rate_limited: u64::MAX,
+            queue_depth: [u64::MAX; QUEUE_DEPTH_BUCKETS],
+        };
+        assert_eq!(StatsSnapshot::from_json(&snap.to_json()), Some(snap));
     }
 }

@@ -5,6 +5,7 @@
 //! instead of panicking, so tools can filter by rule, assert specific
 //! rules in tests, and render human-readable reports.
 
+use csfma_obs::Json;
 use std::fmt;
 
 /// How severe a finding is.
@@ -393,44 +394,18 @@ pub fn render_report(diags: &[Diagnostic]) -> String {
 /// Render findings as a JSON array for machine consumers
 /// (`csfma-lint --json`). Each element carries `severity`, `rule`,
 /// `name`, `span` (the same text the human report prints), and
-/// `message`. Emitted by hand so the verify crate stays
-/// dependency-free; strings are escaped per RFC 8259.
+/// `message`.
 pub fn render_json(diags: &[Diagnostic]) -> String {
-    use std::fmt::Write as _;
-    fn escape(s: &str, out: &mut String) {
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => {
-                    let _ = write!(out, "\\u{:04x}", c as u32);
-                }
-                c => out.push(c),
-            }
-        }
-    }
-    let mut out = String::from("[");
-    for (i, d) in diags.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"severity\":\"{}\",\"rule\":\"{}\",\"name\":\"{}\",\"span\":\"",
-            d.severity,
-            d.rule.id(),
-            d.rule.name()
-        );
-        escape(&d.span.to_string(), &mut out);
-        out.push_str("\",\"message\":\"");
-        escape(&d.message, &mut out);
-        out.push_str("\"}");
-    }
-    out.push(']');
-    out
+    Json::arr(diags.iter().map(|d| {
+        Json::obj([
+            ("severity", d.severity.to_string().into()),
+            ("rule", d.rule.id().into()),
+            ("name", d.rule.name().into()),
+            ("span", d.span.to_string().into()),
+            ("message", d.message.as_str().into()),
+        ])
+    }))
+    .to_string()
 }
 
 #[cfg(test)]
@@ -470,12 +445,17 @@ mod tests {
             Diagnostic::error(Rule::TapeValueFlowMismatch, Span::Instr(3), "a \"b\"\nc"),
             Diagnostic::warning(Rule::CancellationRisk, Span::Node(1), "plain"),
         ];
-        let j = render_json(&diags);
-        assert!(j.starts_with('[') && j.ends_with(']'), "{j}");
-        assert!(j.contains("\"rule\":\"T005\""), "{j}");
-        assert!(j.contains("\"span\":\"instr 3\""), "{j}");
-        assert!(j.contains("a \\\"b\\\"\\nc"), "{j}");
-        assert!(j.contains("\"severity\":\"warning\""), "{j}");
+        let doc = Json::parse(&render_json(&diags)).unwrap();
+        let items = doc.as_arr().unwrap();
+        assert_eq!(items.len(), 2);
+        let field = |i: usize, key: &str| items[i].get(key).and_then(Json::as_str).unwrap();
+        assert_eq!(field(0, "severity"), "error");
+        assert_eq!(field(0, "rule"), "T005");
+        assert_eq!(field(0, "name"), Rule::TapeValueFlowMismatch.name());
+        assert_eq!(field(0, "span"), "instr 3");
+        assert_eq!(field(0, "message"), "a \"b\"\nc");
+        assert_eq!(field(1, "severity"), "warning");
+        assert_eq!(field(1, "message"), "plain");
         assert_eq!(render_json(&[]), "[]");
     }
 

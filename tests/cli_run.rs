@@ -8,6 +8,7 @@
 //! when the D*/S*/W* gate refuses a graph, and bit-identical digests
 //! with and without the post-gate optimizer.
 
+use csfma::obs::Json;
 use std::process::{Command, Output, Stdio};
 
 fn run(args: &[&str], stdin: &str) -> Output {
@@ -140,173 +141,6 @@ fn oracle_backend_digest_matches_bit_accurate() {
     );
 }
 
-/// Minimal recursive-descent JSON reader — just enough to round-trip the
-/// `--profile=json` document (the workspace deliberately has no JSON
-/// dependency, so the test parses what the CLI hand-rolls).
-mod json {
-    #[derive(Debug, PartialEq)]
-    pub enum Value {
-        Null,
-        Bool(bool),
-        Num(f64),
-        Str(String),
-        Arr(Vec<Value>),
-        Obj(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        pub fn get(&self, key: &str) -> Option<&Value> {
-            match self {
-                Value::Obj(kv) => kv.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-                _ => None,
-            }
-        }
-        pub fn as_arr(&self) -> &[Value] {
-            match self {
-                Value::Arr(v) => v,
-                other => panic!("expected array, got {other:?}"),
-            }
-        }
-        pub fn as_str(&self) -> &str {
-            match self {
-                Value::Str(s) => s,
-                other => panic!("expected string, got {other:?}"),
-            }
-        }
-        pub fn as_num(&self) -> f64 {
-            match self {
-                Value::Num(n) => *n,
-                other => panic!("expected number, got {other:?}"),
-            }
-        }
-    }
-
-    pub fn parse(s: &str) -> Result<Value, String> {
-        let b = s.as_bytes();
-        let mut i = 0;
-        let v = value(b, &mut i)?;
-        skip_ws(b, &mut i);
-        if i != b.len() {
-            return Err(format!("trailing bytes at {i}"));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(b: &[u8], i: &mut usize) {
-        while *i < b.len() && b[*i].is_ascii_whitespace() {
-            *i += 1;
-        }
-    }
-
-    fn value(b: &[u8], i: &mut usize) -> Result<Value, String> {
-        skip_ws(b, i);
-        match b.get(*i) {
-            Some(b'{') => {
-                *i += 1;
-                let mut kv = Vec::new();
-                skip_ws(b, i);
-                if b.get(*i) == Some(&b'}') {
-                    *i += 1;
-                    return Ok(Value::Obj(kv));
-                }
-                loop {
-                    skip_ws(b, i);
-                    let k = match value(b, i)? {
-                        Value::Str(s) => s,
-                        other => return Err(format!("non-string key {other:?}")),
-                    };
-                    skip_ws(b, i);
-                    if b.get(*i) != Some(&b':') {
-                        return Err(format!("expected ':' at {i}"));
-                    }
-                    *i += 1;
-                    kv.push((k, value(b, i)?));
-                    skip_ws(b, i);
-                    match b.get(*i) {
-                        Some(b',') => *i += 1,
-                        Some(b'}') => {
-                            *i += 1;
-                            return Ok(Value::Obj(kv));
-                        }
-                        other => return Err(format!("expected ',' or '}}', got {other:?}")),
-                    }
-                }
-            }
-            Some(b'[') => {
-                *i += 1;
-                let mut vs = Vec::new();
-                skip_ws(b, i);
-                if b.get(*i) == Some(&b']') {
-                    *i += 1;
-                    return Ok(Value::Arr(vs));
-                }
-                loop {
-                    vs.push(value(b, i)?);
-                    skip_ws(b, i);
-                    match b.get(*i) {
-                        Some(b',') => *i += 1,
-                        Some(b']') => {
-                            *i += 1;
-                            return Ok(Value::Arr(vs));
-                        }
-                        other => return Err(format!("expected ',' or ']', got {other:?}")),
-                    }
-                }
-            }
-            Some(b'"') => {
-                *i += 1;
-                let mut s = String::new();
-                while let Some(&c) = b.get(*i) {
-                    *i += 1;
-                    match c {
-                        b'"' => return Ok(Value::Str(s)),
-                        b'\\' => {
-                            let e = *b.get(*i).ok_or("eof in escape")?;
-                            *i += 1;
-                            s.push(match e {
-                                b'n' => '\n',
-                                b't' => '\t',
-                                b'\\' => '\\',
-                                b'"' => '"',
-                                b'/' => '/',
-                                other => return Err(format!("escape \\{}", other as char)),
-                            });
-                        }
-                        c => s.push(c as char),
-                    }
-                }
-                Err("unterminated string".into())
-            }
-            Some(b't') if b[*i..].starts_with(b"true") => {
-                *i += 4;
-                Ok(Value::Bool(true))
-            }
-            Some(b'f') if b[*i..].starts_with(b"false") => {
-                *i += 5;
-                Ok(Value::Bool(false))
-            }
-            Some(b'n') if b[*i..].starts_with(b"null") => {
-                *i += 4;
-                Ok(Value::Null)
-            }
-            Some(_) => {
-                let start = *i;
-                while *i < b.len()
-                    && matches!(b[*i], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-                {
-                    *i += 1;
-                }
-                std::str::from_utf8(&b[start..*i])
-                    .unwrap()
-                    .parse()
-                    .map(Value::Num)
-                    .map_err(|e| format!("bad number at {start}: {e}"))
-            }
-            None => Err("unexpected eof".into()),
-        }
-    }
-}
-
 /// The profile JSON document starts at the first stdout line beginning
 /// with `{` (normal summary lines never do).
 fn profile_json_of(text: &str) -> &str {
@@ -324,20 +158,24 @@ fn profile_json_round_trips_with_full_stage_breakdown() {
     assert_eq!(prof.status.code(), Some(0), "stderr: {}", stderr(&prof));
 
     let out = stdout(&prof);
-    let doc = json::parse(profile_json_of(&out))
+    let doc = Json::parse(profile_json_of(&out))
         .unwrap_or_else(|e| panic!("profile JSON must parse: {e}\n{out}"));
 
-    assert_eq!(doc.get("recorded"), Some(&json::Value::Bool(true)));
+    assert_eq!(doc.get("recorded"), Some(&Json::Bool(true)));
 
     // Stage breakdown covers the whole pipeline, with positive timings
     // and gate/optimize/lower nested inside compile.
-    let stages = doc.get("stages").expect("stages array").as_arr();
+    let stages = doc
+        .get("stages")
+        .and_then(Json::as_arr)
+        .expect("stages array");
     let stage = |name: &str| {
         stages
             .iter()
-            .find(|s| s.get("name").map(json::Value::as_str) == Some(name))
+            .find(|s| s.get("name").and_then(Json::as_str) == Some(name))
             .unwrap_or_else(|| panic!("stage {name:?} missing: {stages:?}"))
     };
+    let num = |v: &Json, key: &str| v.get(key).and_then(Json::as_f64).expect(key);
     for name in [
         "parse",
         "cache_lookup",
@@ -347,22 +185,17 @@ fn profile_json_round_trips_with_full_stage_breakdown() {
         "lower",
         "eval",
     ] {
-        let s = stage(name);
-        assert!(s.get("wall_us").expect("wall_us").as_num() >= 0.0);
+        assert!(num(stage(name), "wall_us") >= 0.0);
     }
-    assert_eq!(stage("compile").get("depth").unwrap().as_num(), 0.0);
-    assert_eq!(stage("gate").get("depth").unwrap().as_num(), 1.0);
-    assert_eq!(stage("lower").get("depth").unwrap().as_num(), 1.0);
+    let depth = |name: &str| stage(name).get("depth").and_then(Json::as_u64);
+    assert_eq!(depth("compile"), Some(0));
+    assert_eq!(depth("gate"), Some(1));
+    assert_eq!(depth("lower"), Some(1));
 
     // Cache and fault counters are present; this is a fresh process, so
     // the compile was a miss and the un-faulted run detected nothing.
     let counters = doc.get("counters").expect("counters object");
-    let counter = |name: &str| {
-        counters
-            .get(name)
-            .unwrap_or_else(|| panic!("counter {name:?} missing"))
-            .as_num()
-    };
+    let counter = |name: &str| num(counters, name);
     assert_eq!(counter("tape_cache_misses"), 1.0);
     assert_eq!(counter("tape_cache_hits"), 0.0);
     assert!(
@@ -380,7 +213,7 @@ fn profile_json_round_trips_with_full_stage_breakdown() {
     assert!(counter("tape_verify_us") >= 0.0);
     assert!(counter("slots_reclaimed") >= 0.0);
 
-    assert_eq!(doc.get("warnings"), Some(&json::Value::Arr(Vec::new())));
+    assert_eq!(doc.get("warnings"), Some(&Json::Arr(Vec::new())));
 
     // Determinism contract, end to end: the profiled run's digest equals
     // the plain run's.

@@ -2,7 +2,16 @@
 //! and magnitudes the paper reports must emerge from our models (absolute
 //! values are model-calibrated; the relations are the reproduction).
 
+use csfma::obs::Json;
 use csfma_bench::{fig13, fig14, fig15, table1, table2};
+
+/// Parse a checked-in artifact, naming the bin that regenerates it.
+fn load_artifact(path: &str, bin: &str) -> Json {
+    let text = std::fs::read_to_string(path).expect("artifact is checked in");
+    Json::parse(&text).unwrap_or_else(|e| {
+        panic!("{path}: {e} — regenerate with `cargo run -q --release -p csfma-bench --bin {bin}`")
+    })
+}
 
 /// The checked-in throughput artifact must carry the scheduler fields
 /// the work-stealing executor reports (`chunk_size`, `steal` per entry,
@@ -10,17 +19,17 @@ use csfma_bench::{fig13, fig14, fig15, table1, table2};
 /// that silently dropped them would fail here before any reader does.
 #[test]
 fn bench_throughput_artifact_carries_scheduler_fields() {
-    let json = std::fs::read_to_string("results/BENCH_throughput.json")
-        .expect("results/BENCH_throughput.json is checked in");
-    for field in ["\"chunk_size\":", "\"steal\":", "\"eval_many\":"] {
+    let doc = load_artifact("results/BENCH_throughput.json", "throughput");
+    for entry in doc.get("entries").and_then(Json::as_arr).expect("entries") {
         assert!(
-            json.contains(field),
-            "BENCH_throughput.json lost the {field} field — regenerate with \
-             `cargo run -q --release -p csfma-bench --bin throughput`"
+            entry.get("chunk_size").is_some(),
+            "lost chunk_size: {entry}"
         );
+        assert!(entry.get("steal").is_some(), "lost steal: {entry}");
     }
+    let many = doc.get("eval_many").expect("eval_many section");
     assert!(
-        json.contains("\"speedup_vs_sequential\":"),
+        many.get("speedup_vs_sequential").is_some(),
         "eval_many section must report speedup_vs_sequential"
     );
 }
@@ -31,38 +40,47 @@ fn bench_throughput_artifact_carries_scheduler_fields() {
 /// must record a passing gate at 16 concurrent clients.
 #[test]
 fn bench_serve_artifact_carries_contract_fields() {
-    let json = std::fs::read_to_string("results/BENCH_serve.json")
-        .expect("results/BENCH_serve.json is checked in");
-    for field in [
-        "\"bench\": \"serve\"",
-        "\"fault_seed\":",
-        "\"p50_ms\":",
-        "\"p99_ms\":",
-        "\"rows_per_sec\":",
-        "\"shed\":",
-        "\"deadline\":",
-        "\"quarantined_rows\":",
-        "\"digest_mismatches\": 0",
-        "\"unanswered\": 0",
-        "\"kill_mid_flight\":",
-        "\"server_survived\": true",
-    ] {
-        assert!(
-            json.contains(field),
-            "BENCH_serve.json lost the {field} field — regenerate with \
-             `cargo run -q --release -p csfma-bench --bin serve_bench`"
-        );
+    let doc = load_artifact("results/BENCH_serve.json", "serve_bench");
+    assert_eq!(doc.get("bench").and_then(Json::as_str), Some("serve"));
+    let scenarios = doc
+        .get("scenarios")
+        .and_then(Json::as_arr)
+        .expect("scenarios");
+    for s in scenarios {
+        for field in [
+            "p50_ms",
+            "p99_ms",
+            "rows_per_sec",
+            "shed",
+            "deadline",
+            "quarantined_rows",
+        ] {
+            assert!(
+                s.get(field).is_some(),
+                "BENCH_serve.json lost the {field} field"
+            );
+        }
+        assert_eq!(s.get("digest_mismatches").and_then(Json::as_u64), Some(0));
+        assert_eq!(s.get("unanswered").and_then(Json::as_u64), Some(0));
     }
+    let kill = doc.get("kill_mid_flight").expect("kill_mid_flight section");
+    assert_eq!(kill.get("server_survived"), Some(&Json::Bool(true)));
     assert!(
-        json.contains("\"clients\": 16"),
+        scenarios
+            .iter()
+            .any(|s| s.get("clients").and_then(Json::as_u64) == Some(16)),
         "the acceptance scenario is 16 concurrent clients"
     );
-    assert!(
-        json.contains("\"pass\": true"),
+    assert_eq!(
+        doc.get("pass"),
+        Some(&Json::Bool(true)),
         "the checked-in serve artifact must record a passing gate"
     );
     // the drill runs under fire: a clean-room seed would prove nothing
-    assert!(!json.contains("\"fault_seed\": 0\n"));
+    assert!(doc
+        .get("fault_seed")
+        .and_then(Json::as_u64)
+        .is_some_and(|s| s != 0));
 }
 
 #[test]

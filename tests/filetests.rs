@@ -34,7 +34,7 @@
 //!                         interpreter. The adversarial mix (NaN, ±inf,
 //!                         subnormals, bit noise) drives rows down the
 //!                         guard-bailout path; on hosts where no native
-//!                         module can be built (non-x86-64/aarch64, or
+//!                         module can be built (not unix x86-64, or
 //!                         CSFMA_JIT=off) the jit backend degrades to the
 //!                         interpreter and the identity is trivial — the
 //!                         directive is valid everywhere.

@@ -33,8 +33,8 @@
 
 use csfma::core::{plane_fma_chunk, ClassicFma, CsFmaFormat, CsFmaUnit, CsOperand, PlaneScratch};
 use csfma::hls::{compile, fuse_critical_paths, parse_program, FmaKind, FusionConfig, TapeBackend};
+use csfma::obs::Json;
 use csfma::softfloat::{FpFormat, Round, SoftFloat};
-use std::fmt::Write as _;
 use std::path::PathBuf;
 
 const F: FpFormat = FpFormat::BINARY64;
@@ -50,199 +50,30 @@ fn example_source(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
 }
 
-// ---------------------------------------------------------------------
-// Minimal JSON subset parser (objects, arrays, strings without escapes,
-// numbers, true/false/null) — the workspace deliberately has no serde.
-// ---------------------------------------------------------------------
+// Panicking lookups: a malformed corpus fails the test, naming the piece.
 
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Obj(Vec<(String, Json)>),
-    Arr(Vec<Json>),
-    Str(String),
-    Num(f64),
-    Bool(bool),
-    Null,
+fn field<'a>(case: &'a Json, key: &str) -> &'a Json {
+    case.get(key)
+        .unwrap_or_else(|| panic!("missing {key:?} in {case}"))
 }
 
-impl Json {
-    fn get(&self, key: &str) -> &Json {
-        match self {
-            Json::Obj(fields) => fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .unwrap_or_else(|| panic!("missing key {key:?}")),
-            other => panic!("expected object with key {key:?}, got {other:?}"),
-        }
-    }
-
-    fn arr(&self) -> &[Json] {
-        match self {
-            Json::Arr(v) => v,
-            other => panic!("expected array, got {other:?}"),
-        }
-    }
-
-    fn str_(&self) -> &str {
-        match self {
-            Json::Str(s) => s,
-            other => panic!("expected string, got {other:?}"),
-        }
-    }
-
-    /// Decode a `"0x…"` hex bit-pattern string into the f64 it encodes.
-    fn bits(&self) -> f64 {
-        let s = self.str_();
-        let hex = s
-            .strip_prefix("0x")
-            .unwrap_or_else(|| panic!("bad bits {s:?}"));
-        f64::from_bits(
-            u64::from_str_radix(hex, 16).unwrap_or_else(|e| panic!("bad bits {s:?}: {e}")),
-        )
-    }
+fn items(v: &Json) -> &[Json] {
+    v.as_arr()
+        .unwrap_or_else(|| panic!("expected an array, got {v}"))
 }
 
-struct JsonParser<'a> {
-    b: &'a [u8],
-    i: usize,
+fn text(v: &Json) -> &str {
+    v.as_str()
+        .unwrap_or_else(|| panic!("expected a string, got {v}"))
 }
 
-impl<'a> JsonParser<'a> {
-    fn parse(text: &'a str) -> Json {
-        let mut p = JsonParser {
-            b: text.as_bytes(),
-            i: 0,
-        };
-        let v = p.value();
-        p.ws();
-        assert!(p.i == p.b.len(), "trailing garbage at byte {}", p.i);
-        v
-    }
-
-    fn ws(&mut self) {
-        while self.i < self.b.len() && (self.b[self.i] as char).is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn eat(&mut self, c: u8) {
-        self.ws();
-        assert!(
-            self.i < self.b.len() && self.b[self.i] == c,
-            "expected {:?} at byte {}",
-            c as char,
-            self.i
-        );
-        self.i += 1;
-    }
-
-    fn value(&mut self) -> Json {
-        self.ws();
-        match self.b.get(self.i) {
-            Some(b'{') => {
-                self.i += 1;
-                let mut fields = Vec::new();
-                self.ws();
-                if self.b.get(self.i) == Some(&b'}') {
-                    self.i += 1;
-                    return Json::Obj(fields);
-                }
-                loop {
-                    self.ws();
-                    let key = self.string();
-                    self.eat(b':');
-                    fields.push((key, self.value()));
-                    self.ws();
-                    match self.b.get(self.i) {
-                        Some(b',') => self.i += 1,
-                        Some(b'}') => {
-                            self.i += 1;
-                            return Json::Obj(fields);
-                        }
-                        other => panic!("expected ',' or '}}', got {other:?}"),
-                    }
-                }
-            }
-            Some(b'[') => {
-                self.i += 1;
-                let mut items = Vec::new();
-                self.ws();
-                if self.b.get(self.i) == Some(&b']') {
-                    self.i += 1;
-                    return Json::Arr(items);
-                }
-                loop {
-                    items.push(self.value());
-                    self.ws();
-                    match self.b.get(self.i) {
-                        Some(b',') => self.i += 1,
-                        Some(b']') => {
-                            self.i += 1;
-                            return Json::Arr(items);
-                        }
-                        other => panic!("expected ',' or ']', got {other:?}"),
-                    }
-                }
-            }
-            Some(b'"') => Json::Str(self.string()),
-            Some(b't') => {
-                self.keyword("true");
-                Json::Bool(true)
-            }
-            Some(b'f') => {
-                self.keyword("false");
-                Json::Bool(false)
-            }
-            Some(b'n') => {
-                self.keyword("null");
-                Json::Null
-            }
-            _ => {
-                let start = self.i;
-                while self.i < self.b.len()
-                    && matches!(
-                        self.b[self.i],
-                        b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'
-                    )
-                {
-                    self.i += 1;
-                }
-                let text = std::str::from_utf8(&self.b[start..self.i]).unwrap();
-                Json::Num(
-                    text.parse()
-                        .unwrap_or_else(|e| panic!("bad number {text:?}: {e}")),
-                )
-            }
-        }
-    }
-
-    fn string(&mut self) -> String {
-        self.eat(b'"');
-        let start = self.i;
-        while self.i < self.b.len() && self.b[self.i] != b'"' {
-            assert!(
-                self.b[self.i] != b'\\',
-                "escapes unsupported (byte {})",
-                self.i
-            );
-            self.i += 1;
-        }
-        let s = std::str::from_utf8(&self.b[start..self.i])
-            .unwrap()
-            .to_string();
-        self.eat(b'"');
-        s
-    }
-
-    fn keyword(&mut self, kw: &str) {
-        assert!(
-            self.b[self.i..].starts_with(kw.as_bytes()),
-            "byte {}",
-            self.i
-        );
-        self.i += kw.len();
-    }
+/// Decode a `"0x…"` hex bit-pattern string into the f64 it encodes.
+fn bits(v: &Json) -> f64 {
+    let s = text(v);
+    let hex = s
+        .strip_prefix("0x")
+        .unwrap_or_else(|| panic!("bad bits {s:?}"));
+    f64::from_bits(u64::from_str_radix(hex, 16).unwrap_or_else(|e| panic!("bad bits {s:?}: {e}")))
 }
 
 fn load(file: &str) -> Json {
@@ -254,7 +85,13 @@ fn load(file: &str) -> Json {
             path.display()
         )
     });
-    JsonParser::parse(&text)
+    Json::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// Write one regenerated corpus file.
+fn store(file: &str, doc: Json) {
+    std::fs::write(golden_dir().join(file), format!("{doc}\n"))
+        .unwrap_or_else(|e| panic!("write {file}: {e}"));
 }
 
 fn hex(v: f64) -> String {
@@ -420,13 +257,13 @@ fn run_plane_case(fmt: CsFmaFormat, a: &[f64], b: &[f64], c: &[f64]) -> Vec<Stri
 /// test below can assert the corpus *fails* under a seeded defect.
 fn plane_golden_mismatches(doc: &Json) -> Vec<String> {
     let mut mismatches = Vec::new();
-    for case in doc.get("cases").arr() {
-        let name = case.get("format").str_();
+    for case in items(field(doc, "cases")) {
+        let name = text(field(case, "format"));
         let fmt = plane_format(name);
-        let a: Vec<f64> = case.get("a").arr().iter().map(Json::bits).collect();
-        let b: Vec<f64> = case.get("b").arr().iter().map(Json::bits).collect();
-        let c: Vec<f64> = case.get("c").arr().iter().map(Json::bits).collect();
-        let want: Vec<&str> = case.get("packed").arr().iter().map(Json::str_).collect();
+        let a: Vec<f64> = items(field(case, "a")).iter().map(bits).collect();
+        let b: Vec<f64> = items(field(case, "b")).iter().map(bits).collect();
+        let c: Vec<f64> = items(field(case, "c")).iter().map(bits).collect();
+        let want: Vec<&str> = items(field(case, "packed")).iter().map(text).collect();
         let got = run_plane_case(fmt, &a, &b, &c);
         assert_eq!(got.len(), want.len(), "{name}: lane count drifted");
         for (k, (g, w)) in got.iter().zip(want.iter()).enumerate() {
@@ -494,20 +331,20 @@ fn gen_f64(state: &mut u64) -> f64 {
 #[test]
 fn golden_fma_unit_vectors_hold() {
     let doc = load("fma_units.json");
-    let cases = doc.get("cases").arr();
+    let cases = items(field(&doc, "cases"));
     assert!(
         cases.len() >= 100,
         "suspiciously small corpus: {}",
         cases.len()
     );
     for (i, case) in cases.iter().enumerate() {
-        let unit = case.get("unit").str_();
+        let unit = text(field(case, "unit"));
         let (a, b, c) = (
-            case.get("a").bits(),
-            case.get("b").bits(),
-            case.get("c").bits(),
+            bits(field(case, "a")),
+            bits(field(case, "b")),
+            bits(field(case, "c")),
         );
-        let want = case.get("r").bits();
+        let want = bits(field(case, "r"));
         let got = run_unit_case(unit, a, b, c);
         assert_eq!(
             got.to_bits(),
@@ -520,13 +357,13 @@ fn golden_fma_unit_vectors_hold() {
 #[test]
 fn golden_datapath_vectors_hold() {
     let doc = load("datapaths.json");
-    for case in doc.get("cases").arr() {
-        let name = case.get("name").str_();
-        let fuse = case.get("fuse").str_();
-        let backend = backend_of(case.get("backend").str_());
+    for case in items(field(&doc, "cases")) {
+        let name = text(field(case, "name"));
+        let fuse = text(field(case, "fuse"));
+        let backend = backend_of(text(field(case, "backend")));
         let tape = compile(&build_graph(name, fuse)).expect("examples are checker-clean");
-        let inputs: Vec<f64> = case.get("inputs").arr().iter().map(Json::bits).collect();
-        let want: Vec<f64> = case.get("outputs").arr().iter().map(Json::bits).collect();
+        let inputs: Vec<f64> = items(field(case, "inputs")).iter().map(bits).collect();
+        let want: Vec<f64> = items(field(case, "outputs")).iter().map(bits).collect();
         assert_eq!(
             inputs.len(),
             GOLDEN_ROWS * tape.num_inputs(),
@@ -588,11 +425,12 @@ fn golden_suite_catches_plane_word_corruption() {
 #[ignore = "regenerates the golden corpus from the current implementation"]
 fn regenerate_golden_files() {
     std::fs::create_dir_all(golden_dir()).expect("create tests/golden");
+    let hexes = |v: &[f64]| Json::arr(v.iter().map(|&x| hex(x)));
+    let cases = |cases: Vec<Json>| Json::obj([("cases", Json::Arr(cases))]);
 
     // --- unit vectors ---
-    let mut s = String::from("{\n  \"cases\": [\n");
+    let mut units = Vec::new();
     let mut state = 0x5eed_0fcf_517a_2026u64;
-    let mut first = true;
     for &unit in UNIT_KINDS {
         for _ in 0..40 {
             let (a, b, c) = (
@@ -601,23 +439,19 @@ fn regenerate_golden_files() {
                 gen_f64(&mut state),
             );
             let r = run_unit_case(unit, a, b, c);
-            if !first {
-                s.push_str(",\n");
-            }
-            first = false;
-            let _ = write!(
-                s,
-                "    {{\"unit\": \"{unit}\", \"a\": \"{}\", \"b\": \"{}\", \"c\": \"{}\", \"r\": \"{}\"}}",
-                hex(a), hex(b), hex(c), hex(r)
-            );
+            units.push(Json::obj([
+                ("unit", unit.into()),
+                ("a", hex(a).into()),
+                ("b", hex(b).into()),
+                ("c", hex(c).into()),
+                ("r", hex(r).into()),
+            ]));
         }
     }
-    s.push_str("\n  ]\n}\n");
-    std::fs::write(golden_dir().join("fma_units.json"), s).expect("write fma_units.json");
+    store("fma_units.json", cases(units));
 
     // --- datapath vectors ---
-    let mut s = String::from("{\n  \"cases\": [\n");
-    let mut first = true;
+    let mut datapaths = Vec::new();
     for &name in DATAPATHS {
         for &fuse in FUSIONS {
             let tape = compile(&build_graph(name, fuse)).expect("examples are checker-clean");
@@ -626,50 +460,30 @@ fn regenerate_golden_files() {
             let inputs: Vec<f64> = (0..GOLDEN_ROWS * ni).map(|_| gen_f64(&mut state)).collect();
             for backend in ["bit", "f64"] {
                 let got = tape.eval_batch(backend_of(backend), &inputs, 1);
-                if !first {
-                    s.push_str(",\n");
-                }
-                first = false;
-                let ins: Vec<String> = inputs.iter().map(|&v| format!("\"{}\"", hex(v))).collect();
-                let outs: Vec<String> = got.iter().map(|&v| format!("\"{}\"", hex(v))).collect();
-                let _ = write!(
-                    s,
-                    "    {{\"name\": \"{name}\", \"fuse\": \"{fuse}\", \"backend\": \"{backend}\",\n     \"inputs\": [{}],\n     \"outputs\": [{}]}}",
-                    ins.join(", "),
-                    outs.join(", ")
-                );
+                datapaths.push(Json::obj([
+                    ("name", name.into()),
+                    ("fuse", fuse.into()),
+                    ("backend", backend.into()),
+                    ("inputs", hexes(&inputs)),
+                    ("outputs", hexes(&got)),
+                ]));
             }
         }
     }
-    s.push_str("\n  ]\n}\n");
-    std::fs::write(golden_dir().join("datapaths.json"), s).expect("write datapaths.json");
+    store("datapaths.json", cases(datapaths));
 
     // --- bit-plane kernel vectors ---
-    let mut s = String::from("{\n  \"cases\": [\n");
-    let mut first = true;
+    let mut planes = Vec::new();
     for &(name, fmt) in PLANE_FORMATS {
         let (a, b, c) = plane_stimulus(name);
         let packed = run_plane_case(fmt, &a, &b, &c);
-        if !first {
-            s.push_str(",\n");
-        }
-        first = false;
-        let enc = |v: &[f64]| -> String {
-            v.iter()
-                .map(|&x| format!("\"{}\"", hex(x)))
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        let outs: Vec<String> = packed.iter().map(|p| format!("\"{p}\"")).collect();
-        let _ = write!(
-            s,
-            "    {{\"format\": \"{name}\",\n     \"a\": [{}],\n     \"b\": [{}],\n     \"c\": [{}],\n     \"packed\": [{}]}}",
-            enc(&a),
-            enc(&b),
-            enc(&c),
-            outs.join(", ")
-        );
+        planes.push(Json::obj([
+            ("format", name.into()),
+            ("a", hexes(&a)),
+            ("b", hexes(&b)),
+            ("c", hexes(&c)),
+            ("packed", Json::arr(packed)),
+        ]));
     }
-    s.push_str("\n  ]\n}\n");
-    std::fs::write(golden_dir().join("plane_kernel.json"), s).expect("write plane_kernel.json");
+    store("plane_kernel.json", cases(planes));
 }
