@@ -105,13 +105,16 @@ fn main() -> ExitCode {
     // machine speeds) and against the pre-SoA/pre-optimizer baseline
     // (checked-in BENCH_throughput.json before this engine landed):
     //
-    //  * PCS datapaths must clear >= 10x single-thread — the bit-plane
-    //    chunk kernel (DESIGN.md §13) makes the 64-lane word-parallel
-    //    evaluation an order of magnitude faster than the scalar units.
-    //  * The FCS datapath keeps the older >= 1.5x-vs-baseline floor (its
-    //    13-block window and 3-row carry-save layers leave more scalar
-    //    per-lane work between plane stages).
-    const PLANE_GATE: &[(&str, f64)] = &[("listing1-pcs", 10.0), ("horner8-pcs", 10.0)];
+    //  * PCS datapaths must clear >= 10x single-thread and listing1-fcs
+    //    >= 8x — the bit-plane chunk kernel (DESIGN.md §13) makes the
+    //    64-lane word-parallel evaluation an order of magnitude faster
+    //    than the scalar units.
+    //  * Every row keeps the older >= 1.5x-vs-baseline floor.
+    const PLANE_GATE: &[(&str, f64)] = &[
+        ("listing1-pcs", 10.0),
+        ("listing1-fcs", 8.0),
+        ("horner8-pcs", 10.0),
+    ];
     const BASELINE_US: &[(&str, f64)] = &[
         ("listing1-pcs", 69.9340),
         ("listing1-fcs", 88.0146),

@@ -214,6 +214,18 @@ impl Bits {
         b
     }
 
+    /// Build from the little-endian limbs `f(0), f(1), …` of a `width`-bit
+    /// value, truncated to `width`: the allocation-free form of
+    /// [`Bits::from_limbs`] for limb-wise (word-parallel) computations.
+    pub fn from_limb_fn(width: usize, f: impl FnMut(usize) -> u64) -> Self {
+        let mut b = Bits {
+            width,
+            limbs: (0..limbs_for(width)).map(f).collect(),
+        };
+        b.mask_top();
+        b
+    }
+
     /// Parse from a binary string (MSB first); `_` separators are ignored.
     ///
     /// # Panics

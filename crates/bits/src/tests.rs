@@ -24,6 +24,20 @@ fn from_u64_truncates() {
 }
 
 #[test]
+fn from_limb_fn_matches_from_limbs() {
+    // inline (<= 8 limbs) and heap-spilled widths, partial top limbs masked
+    for width in [0usize, 1, 63, 64, 65, 385, 600] {
+        let limb = |k: usize| (k as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let want: Vec<u64> = (0..width.div_ceil(64).max(1)).map(limb).collect();
+        assert_eq!(
+            Bits::from_limb_fn(width, limb),
+            Bits::from_limbs(width, &want),
+            "width {width}"
+        );
+    }
+}
+
+#[test]
 fn from_i128_negative_wide() {
     let b = Bits::from_i128(200, -5);
     assert!(b.sign_bit());

@@ -38,9 +38,9 @@ use crate::obs::{
 };
 
 /// Rows per scheduling chunk used by the batch evaluators. This is the
-/// SoA register-plane width: the bit-plane kernel (DESIGN.md §13) runs
-/// on exactly-full 64-row chunks, so the chunk size is fixed and the
-/// scheduler adapts its *grain* (chunks per claim) instead.
+/// SoA register-plane width: the bit-plane kernel (DESIGN.md §13) packs
+/// one chunk's lanes into 64-bit plane words, so the chunk size is fixed
+/// and the scheduler adapts its *grain* (chunks per claim) instead.
 pub const CHUNK_ROWS: usize = 64;
 
 /// Hard cap on scheduler workers for one job (submitting thread

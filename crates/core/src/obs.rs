@@ -15,7 +15,7 @@ pub(crate) static FCS_FMA_OPS: Counter = Counter::new();
 // Bit-plane chunk-kernel counters (DESIGN.md §13): how many FMA lanes
 // went through the plane kernel, how many it resolved on the scalar
 // exception path, how many the batch executor evaluated scalar because
-// the chunk was a ragged tail, and the time spent transposing between
+// the chunk had too few lanes, and the time spent transposing between
 // lane-major and plane-major form.
 pub(crate) static PLANE_FMA_LANES: Counter = Counter::new();
 pub(crate) static PLANE_EXCEPTION_LANES: Counter = Counter::new();
@@ -110,7 +110,9 @@ pub struct PlaneCounts {
     /// (NaN / Inf / zero products never reach the datapath).
     pub exception_lanes: u64,
     /// Fused-FMA lanes the batch executor evaluated scalar because the
-    /// chunk was a ragged tail or the instruction was not plane-eligible.
+    /// chunk had fewer lanes than the plane threshold (1–3: single rows,
+    /// JIT bailouts, tiny batches) or the instruction was not
+    /// plane-eligible.
     pub fallback_lanes: u64,
     /// Nanoseconds spent transposing between lane-major and plane-major
     /// form inside the plane kernel.
@@ -128,8 +130,8 @@ pub fn plane_counts() -> PlaneCounts {
 }
 
 /// Tally fused-FMA lanes that took the scalar fallback inside the
-/// bit-accurate batch executor (ragged-tail chunks or instructions the
-/// plane-eligibility analysis rejected).
+/// bit-accurate batch executor (chunks below the plane threshold or
+/// instructions the plane-eligibility analysis rejected).
 pub fn count_plane_fallback(lanes: usize) {
     PLANE_FALLBACK_LANES.add(lanes as u64);
 }

@@ -26,11 +26,11 @@
 //! [`eval_bit_accurate`](crate::interp::eval_bit_accurate) with IEEE
 //! nodes on the **host FPU** through the guarded fast path of
 //! [`csfma_softfloat::batch`] and fused nodes on the behavioral
-//! carry-save units, which *are* the model, on full chunks through the
-//! bit-plane kernel), and the oracle (the pure soft-float stack). A row
-//! is a chunk of length 1. [`TapeBackend`] picks the semantics; its
-//! `Jit` backend runs native code with the bit-accurate semantics as
-//! its bailout path.
+//! carry-save units, which *are* the model, through the bit-plane
+//! kernel on every chunk of at least `PLANE_MIN_LANES` rows), and the
+//! oracle (the pure soft-float stack). A row is a chunk of length 1.
+//! [`TapeBackend`] picks the semantics; its `Jit` backend runs native
+//! code with the bit-accurate semantics as its bailout path.
 //!
 //! [`Tape::eval_batch`] evaluates many input vectors with deterministic
 //! chunked work distribution
@@ -63,6 +63,13 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 const F: FpFormat = FpFormat::BINARY64;
+
+/// Fewest lanes for which a fused instruction runs on the bit-plane
+/// kernel instead of the scalar units (DESIGN.md §13.2). The kernel is
+/// bit-exact at any `len <= CHUNK_ROWS`; below this break-even its
+/// fixed per-chunk cost (transposes, plane setup) outweighs the scalar
+/// units. Keeps `eval_row` and JIT bailouts (`len = 1`) scalar.
+const PLANE_MIN_LANES: usize = 4;
 
 /// Structured compilation failure: the graph carries outstanding
 /// error-severity checker diagnostics (`D*`, `S*` or `W*` rules).
@@ -269,11 +276,12 @@ pub struct Tape {
     /// Per-instruction bit-plane eligibility (sibling of `promoted`):
     /// `plane_eligible[i]` lets the bit-accurate backend evaluate fused
     /// instruction `i` with the digit-plane chunk kernel
-    /// (`csfma_core::plane_fma_chunk`) on full chunks, 64 lanes per gate
-    /// level. Computed at lowering (every `Fma` qualifies — the kernel
-    /// is format-generic and resolves exception lanes on the scalar
-    /// path); a separate flag so future analyses can veto instructions
-    /// and so tests can audit the dispatch decision.
+    /// (`csfma_core::plane_fma_chunk`) on chunks of at least
+    /// `PLANE_MIN_LANES` rows, up to 64 lanes per gate level. Computed
+    /// at lowering (every `Fma` qualifies — the kernel is format-generic
+    /// and resolves exception lanes on the scalar path); a separate flag
+    /// so future analyses can veto instructions and so tests can audit
+    /// the dispatch decision.
     pub(crate) plane_eligible: Vec<bool>,
     /// Lazily built native module for [`TapeBackend::Jit`]
     /// ([`crate::jit`], bit-accurate semantics). `None` inside the cell
@@ -982,7 +990,8 @@ impl Tape {
 
     /// Number of fused instructions eligible for the bit-plane chunk
     /// kernel (see DESIGN.md §13) — the lowering marks every `Fma`; the
-    /// batch executor additionally requires a full chunk.
+    /// batch executor additionally requires a chunk of at least
+    /// `PLANE_MIN_LANES` rows.
     pub fn plane_eligible_count(&self) -> usize {
         self.plane_eligible.iter().filter(|&&p| p).count()
     }
@@ -1562,8 +1571,9 @@ impl Semantics for Bit {
     /// Three ways to run a fused instruction, all bit-identical: checked
     /// per lane with the lane's fault hook (robust mode — never the
     /// plane kernel, which robust mode runs as a shadow instead), the
-    /// bit-plane kernel on a full chunk, or the unit lane by lane with
-    /// one shared [`FmaScratch`].
+    /// bit-plane kernel on a chunk of at least `PLANE_MIN_LANES`
+    /// lanes (full or ragged), or the unit lane by lane with one shared
+    /// [`FmaScratch`].
     fn fma(
         t: &Tape,
         i: usize,
@@ -1596,7 +1606,7 @@ impl Semantics for Bit {
                 fl.findings[k].extend(dets.into_iter().map(|d| (i, d)));
                 cs[op.dst + k] = r;
             }
-        } else if len == CHUNK_ROWS && t.plane_eligible.get(i).copied().unwrap_or(false) {
+        } else if len >= PLANE_MIN_LANES && t.plane_eligible.get(i).copied().unwrap_or(false) {
             u.b_lane.clear();
             u.b_lane
                 .extend((0..len).map(|k| b_operand(f[op.b + k], op.negate_b)));
@@ -2101,6 +2111,49 @@ mod tests {
                         .zip(seq.iter())
                         .all(|(a, b)| a.to_bits() == b.to_bits()),
                     "{backend:?} diverged at {threads} threads"
+                );
+            }
+        }
+    }
+
+    /// Witness for the fused-instruction dispatch rule: a thread-local
+    /// plane strike is consumed only if `run_chunk::<Bit>` took the
+    /// bit-plane kernel, so a ragged 41-lane chunk must consume it and a
+    /// single row must leave it armed. Every unstruck lane matches the
+    /// oracle bit for bit either way.
+    #[cfg(feature = "fault-inject")]
+    #[test]
+    fn ragged_chunks_take_the_plane_kernel_and_single_rows_do_not() {
+        use csfma_core::fault::FaultSite;
+        use csfma_core::{arm_plane_strikes, disarm_plane_strikes, PlaneStrike};
+        for kind in [FmaKind::Pcs, FmaKind::Fcs] {
+            let tape =
+                compile(&fuse_critical_paths(&listing1(), &FusionConfig::new(kind)).fused).unwrap();
+            let (ni, no) = (tape.num_inputs(), tape.num_outputs());
+            let rows: Vec<f64> = (0..41 * ni)
+                .map(|i| ((i * 2654435761) % 1000) as f64 * 0.31 - 150.0)
+                .collect();
+            let mut s = tape.scratch();
+            for len in [41usize, 1] {
+                let mut want = vec![0.0; len * no];
+                tape.run_chunk::<Oracle>(&rows, 0, len, &mut want, &mut s, None);
+                arm_plane_strikes(&[PlaneStrike {
+                    site: FaultSite::PlaneCsaWord,
+                    lane: 0,
+                    sel: 16,
+                }]);
+                let mut got = vec![0.0; len * no];
+                tape.run_chunk::<Bit>(&rows, 0, len, &mut got, &mut s, None);
+                let armed = disarm_plane_strikes();
+                let plane = len >= PLANE_MIN_LANES;
+                assert_eq!(armed, usize::from(!plane), "{kind:?} len {len}: dispatch");
+                let unstruck = if plane { no } else { 0 };
+                assert!(
+                    got[unstruck..]
+                        .iter()
+                        .zip(&want[unstruck..])
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "{kind:?} len {len}: unstruck lanes diverged from the oracle"
                 );
             }
         }

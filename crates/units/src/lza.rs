@@ -21,43 +21,58 @@ use csfma_carrysave::CsNumber;
 /// must detect separately — the paper's "reliably detect all-0 mantissas").
 pub const LZA_MAX_ERROR: usize = 1;
 
+/// Limb `k` of the unbounded two's-complement sign extension of `x`.
+#[inline]
+fn sext_limb(x: &Bits, k: usize) -> u64 {
+    let fill = 0u64.wrapping_sub(x.sign_bit() as u64);
+    match x.limbs().get(k) {
+        None => fill,
+        Some(&l) => match x.width() - 64 * k {
+            top @ 1..=63 => l | (fill << top),
+            _ => l,
+        },
+    }
+}
+
 /// Raw Schmookler/Nowka general-case indicator string for `a + b` (two's
 /// complement, equal widths), computed over the inputs sign-extended by
 /// two bits so the top positions need no special-case boundary. The
 /// leading one of the indicator falls on the leading significant bit of
 /// the sum or one position above it.
+///
+/// Per position `i`, with `t = a^b`, `g = a&b`, `z = !(a|b)`:
+/// `f(i) = t(i+1)·(g(i)·¬z(i−1) + z(i)·¬g(i−1)) + ¬t(i+1)·(z(i)·¬z(i−1) + g(i)·¬g(i−1))`.
+/// Like the one-gate-level-per-digit hardware, every position is
+/// evaluated at once: limb by limb, the `i+1` neighbors are a right
+/// shift carrying in the next limb's bit 0 and the `i−1` neighbors a
+/// left shift carrying in the previous limb's bit 63. Below position 0
+/// neither generate nor zero holds (a carry-in of unknown value is
+/// conservatively assumed possible); above the top, `t` replicates the
+/// sign positions, so `t(we)` reads `t(we−1)`.
 pub fn lza_indicator(a: &Bits, b: &Bits) -> Bits {
     assert_eq!(a.width(), b.width(), "lza width mismatch");
     let w = a.width();
     if w == 0 {
         return Bits::zero(0);
     }
-    let we = w + 2;
-    let ax = a.sext(we);
-    let bx = b.sext(we);
-    let t = |i: usize| {
-        let i = i.min(we - 1); // positions above the top replicate the sign
-        ax.bit(i) ^ bx.bit(i)
+    let ab = |k: usize| (sext_limb(a, k), sext_limb(b, k));
+    let t = |k: usize| {
+        let (x, y) = ab(k);
+        x ^ y
     };
-    let g = |i: usize| ax.bit(i) && bx.bit(i);
-    let z = |i: usize| !ax.bit(i) && !bx.bit(i);
-    let mut f = Bits::zero(we);
-    for i in 0..we {
-        // neighbor below position 0: neither generate nor zero (a carry-in
-        // of unknown value is conservatively assumed possible)
-        let (gi_1, zi_1) = if i == 0 {
-            (false, false)
-        } else {
-            (g(i - 1), z(i - 1))
+    let gz = |k: usize| {
+        let (x, y) = ab(k);
+        (x & y, !(x | y))
+    };
+    Bits::from_limb_fn(w + 2, |k| {
+        let (g, z) = gz(k);
+        let t_up = (t(k) >> 1) | (t(k + 1) << 63);
+        let (g_lo, z_lo) = match k.checked_sub(1).map(gz) {
+            Some((gp, zp)) => ((g << 1) | (gp >> 63), (z << 1) | (zp >> 63)),
+            None => (g << 1, z << 1),
         };
-        let ti1 = t(i + 1);
-        let fi = (ti1 && ((g(i) && !zi_1) || (z(i) && !gi_1)))
-            || (!ti1 && ((z(i) && !zi_1) || (g(i) && !gi_1)));
-        if fi {
-            f.set_bit(i, true);
-        }
-    }
-    f
+        (t_up & ((g & !z_lo) | (z & !g_lo))) | (!t_up & ((z & !z_lo) | (g & !g_lo)))
+    })
 }
 
 /// Anticipated count of leading *non-significant* bits of the **exact**
@@ -182,16 +197,118 @@ mod tests {
         assert!(anticipate_leading(&a, &b) <= 9); // <= w + 1
     }
 
-    #[test]
-    fn wide_words() {
-        // spot-check the contract at FMA-like widths
-        let mut s = 0x9e3779b97f4a7c15u64;
-        let mut next = || {
+    /// Per-position specification of [`lza_indicator`]: the indicator
+    /// formula evaluated one bit at a time on the `w + 2`-bit sign
+    /// extensions, with `t` clamped at the top position.
+    fn indicator_spec(a: &Bits, b: &Bits) -> Bits {
+        let w = a.width();
+        if w == 0 {
+            return Bits::zero(0);
+        }
+        let we = w + 2;
+        let ax = a.sext(we);
+        let bx = b.sext(we);
+        let t = |i: usize| {
+            let i = i.min(we - 1);
+            ax.bit(i) ^ bx.bit(i)
+        };
+        let g = |i: usize| ax.bit(i) && bx.bit(i);
+        let z = |i: usize| !ax.bit(i) && !bx.bit(i);
+        let mut f = Bits::zero(we);
+        for i in 0..we {
+            let (gi_1, zi_1) = if i == 0 {
+                (false, false)
+            } else {
+                (g(i - 1), z(i - 1))
+            };
+            let ti1 = t(i + 1);
+            let fi = (ti1 && ((g(i) && !zi_1) || (z(i) && !gi_1)))
+                || (!ti1 && ((z(i) && !zi_1) || (g(i) && !gi_1)));
+            f.set_bit(i, fi);
+        }
+        f
+    }
+
+    fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+        let mut s = seed;
+        move || {
             s ^= s << 13;
             s ^= s >> 7;
             s ^= s << 17;
             s
-        };
+        }
+    }
+
+    /// Random `width`-bit operand; one in four is a sign run (`0…0` or
+    /// `1…1` above a random-length random tail), the near-cancellation
+    /// shape the indicator has to place exactly.
+    fn random_operand(width: usize, next: &mut impl FnMut() -> u64) -> Bits {
+        let limbs: Vec<u64> = (0..width.div_ceil(64)).map(|_| next()).collect();
+        let x = Bits::from_limbs(width, &limbs);
+        match next() % 4 {
+            0 => {
+                let tail = next() as usize % width;
+                let low = x.zext(tail).zext(width);
+                if next() & 1 == 1 {
+                    low.wrapping_sub(&Bits::one_hot(width, tail))
+                } else {
+                    low
+                }
+            }
+            _ => x,
+        }
+    }
+
+    fn check_indicator(a: &Bits, b: &Bits) {
+        assert_eq!(
+            lza_indicator(a, b),
+            indicator_spec(a, b),
+            "word-level indicator diverges: a={a:?} b={b:?}"
+        );
+    }
+
+    #[test]
+    fn indicator_matches_spec_on_all_8bit_pairs() {
+        for av in 0u64..256 {
+            for bv in 0u64..256 {
+                check_indicator(&Bits::from_u64(8, av), &Bits::from_u64(8, bv));
+            }
+        }
+    }
+
+    #[test]
+    fn indicator_matches_spec_at_every_width_to_200() {
+        // crosses the 64/128/192-bit limb boundaries of the inputs and of
+        // the two-bit-wider indicator
+        let mut next = xorshift(0x2545_f491_4f6c_dd1d);
+        for w in 1..=200 {
+            for _ in 0..64 {
+                let a = random_operand(w, &mut next);
+                let b = random_operand(w, &mut next);
+                check_indicator(&a, &b);
+                check_indicator(&a, &a.wrapping_neg());
+            }
+        }
+    }
+
+    #[test]
+    fn indicator_matches_spec_at_cs_fma_mantissa_widths() {
+        // `block_bits * mant_blocks` of PCS_55_ZD, PCS_58_LZA, FCS_29_LZA,
+        // PCS_27_SP and FCS_15_SP (csfma-core's `CsFmaFormat` constants)
+        let mut next = xorshift(0x9e37_79b9_7f4a_7c15);
+        for w in [110usize, 116, 87, 54, 45] {
+            for _ in 0..2000 {
+                let a = random_operand(w, &mut next);
+                let b = random_operand(w, &mut next);
+                check_indicator(&a, &b);
+            }
+        }
+    }
+
+    #[test]
+    fn wide_words() {
+        // spot-check the contract at FMA-like widths
+        let mut next = xorshift(0x9e3779b97f4a7c15);
         for _ in 0..2000 {
             let a = Bits::from_limbs(116, &[next(), next()]);
             let b = Bits::from_limbs(116, &[next(), next()]);

@@ -126,10 +126,11 @@ fn eval_batch_is_thread_count_invariant() {
 
 #[test]
 fn ragged_tail_batches_match_scalar_at_any_thread_count() {
-    // the bit backend dispatches full 64-row chunks to the bit-plane
-    // kernel and ragged tails to the scalar units; every batch size
-    // around the chunk boundary must agree bit-for-bit with the
-    // all-scalar oracle backend, at every worker count
+    // the bit backend runs fused instructions on the bit-plane kernel
+    // for every chunk of at least four lanes, full or ragged, and on
+    // the scalar units below that; every batch size around the
+    // dispatch threshold and the chunk boundary must agree bit-for-bit
+    // with the all-scalar oracle backend, at every worker count
     use csfma::hls::{compile, fuse_critical_paths as fuse, parse_program, TapeBackend};
 
     let listing1 = parse_program("x1 = a*b + c*d;\n x2 = e*f + g*x1;\n out x3 = h*i + k*x2;")
@@ -141,11 +142,12 @@ fn ragged_tail_batches_match_scalar_at_any_thread_count() {
         (&listing1, FmaKind::Pcs),
         (&listing1, FmaKind::Fcs),
         (&horner, FmaKind::Pcs),
+        (&horner, FmaKind::Fcs),
     ] {
         let fused = fuse(g, &FusionConfig::new(kind)).fused;
         let tape = compile(&fused).expect("fused graph compiles");
         let ni = tape.num_inputs();
-        for n_rows in [1usize, 63, 64, 65, 127] {
+        for n_rows in [1usize, 2, 3, 4, 5, 63, 64, 65, 105, 127] {
             let rows: Vec<f64> = (0..n_rows * ni)
                 .map(|i| {
                     let k = (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);

@@ -123,7 +123,8 @@ proptest! {
 
     /// The same graphs through the fusion pass: fused tapes refuse a
     /// native module, so this pins the whole-tape fallback (including
-    /// the bit-plane kernel on full chunks) under the jit label.
+    /// the bit-plane kernel on chunks of four or more rows) under the
+    /// jit label.
     #[test]
     fn jit_matches_interpreter_on_fused_graphs(
         n_inputs in 1usize..5,
