@@ -156,7 +156,8 @@ fn apply(g: &Cdfg, cand: &Candidate, kind: FmaKind) -> Cdfg {
 fn eliminate_conversions(g: &Cdfg) -> Cdfg {
     let mut out = Cdfg::new();
     let mut map: Vec<NodeId> = Vec::with_capacity(g.len());
-    let mut conv_cache: std::collections::HashMap<(NodeId, bool), NodeId> = Default::default();
+    let mut conv_cache: std::collections::HashMap<(NodeId, bool, FmaKind), NodeId> =
+        Default::default();
     for n in g.nodes() {
         let mapped: Vec<NodeId> = n.args.iter().map(|&a| map[a]).collect();
         let id = match &n.op {
@@ -170,11 +171,11 @@ fn eliminate_conversions(g: &Cdfg) -> Cdfg {
                     }
                 }
                 *conv_cache
-                    .entry((src, true))
+                    .entry((src, true, *k))
                     .or_insert_with(|| out.push(Op::IeeeToCs(*k), vec![src]))
             }
             Op::CsToIeee(k) => *conv_cache
-                .entry((mapped[0], false))
+                .entry((mapped[0], false, *k))
                 .or_insert_with(|| out.push(Op::CsToIeee(*k), vec![mapped[0]])),
             _ => out.push(n.op.clone(), mapped),
         };

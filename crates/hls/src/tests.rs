@@ -380,3 +380,60 @@ fn fused_solver_source_dump_is_consistent() {
     );
     assert_eq!(src.matches("out y =").count(), 1);
 }
+
+/// A graph fused with PCS and then fused again with FCS: every FMA must
+/// be fed and read back by conversions of its own kind. Deduplicating
+/// conversions by source alone once handed a new FCS `Fma` an existing
+/// `IeeeToCs(Pcs)` as its `C` port, which the checker accepted (its
+/// domains match) and the bit-accurate interpreter then refused.
+#[test]
+fn fusing_again_with_the_other_kind_keeps_conversions_per_kind() {
+    let mut g = Cdfg::new();
+    let v: Vec<NodeId> = (0..8).map(|i| g.input(format!("v{i}"))).collect();
+    let n8 = g.sub(v[4], v[3]);
+    g.sub(v[6], v[6]);
+    let n10 = g.sub(v[7], v[0]);
+    let m = g.mul(v[4], v[5]);
+    g.add(m, v[4]);
+    let m = g.mul(v[3], v[0]);
+    g.add(m, v[3]);
+    let n15 = g.mul(v[3], v[5]);
+    g.mul(v[5], v[0]);
+    let n17 = g.mul(n10, v[6]);
+    let m = g.mul(v[6], n8);
+    g.add(m, v[6]);
+    let m = g.mul(v[2], n10);
+    let n21 = g.add(m, v[2]);
+    let n22 = g.sub(n15, n17);
+    g.sub(v[4], v[2]);
+    let y = g.mul(n21, n22);
+    g.output("y", y);
+
+    let pcs = fuse_critical_paths(&g, &FusionConfig::new(FmaKind::Pcs)).fused;
+    let both = fuse_critical_paths(&pcs, &FusionConfig::new(FmaKind::Fcs)).fused;
+    let kinds_of = |k: FmaKind| both.count_ops(|o| matches!(o, Op::Fma { kind, .. } if *kind == k));
+    assert!(kinds_of(FmaKind::Pcs) > 0 && kinds_of(FmaKind::Fcs) > 0);
+    let cs_kind = |id: NodeId| match both.nodes()[id].op {
+        Op::IeeeToCs(k) | Op::Fma { kind: k, .. } => k,
+        ref op => panic!("node {id} ({op:?}) is not a carry-save value"),
+    };
+    for (id, n) in both.nodes().iter().enumerate() {
+        match n.op {
+            Op::Fma { kind, .. } => {
+                assert_eq!(cs_kind(n.args[0]), kind, "A port of node {id}");
+                assert_eq!(cs_kind(n.args[2]), kind, "C port of node {id}");
+            }
+            Op::CsToIeee(kind) => assert_eq!(cs_kind(n.args[0]), kind, "node {id}"),
+            _ => {}
+        }
+    }
+    let ins: HashMap<String, f64> = (0..8)
+        .map(|i| (format!("v{i}"), 0.25 * i as f64 - 0.8))
+        .collect();
+    let want = eval_f64(&g, &ins)["y"];
+    let got = eval_bit_accurate(&both, &ins)["y"];
+    assert!(
+        (got - want).abs() <= want.abs().max(1e-3) * 1e-10,
+        "{got} vs {want}"
+    );
+}

@@ -15,11 +15,15 @@
 //! * the bit-plane chunk kernel (DESIGN.md §13): full packed transport
 //!   words for 64-lane chained chunks on every carry-save format — a
 //!   companion mutation test arms a thread-local plane strike and
-//!   proves this corpus catches a single flipped plane word,
+//!   proves this corpus catches a single flipped plane word, and
+//! * the fusion pass (Sec. III-I, Fig. 12): the fused graph's
+//!   fingerprint, node count, pass count, schedule lengths and FMA count
+//!   for every example datapath and the first three `ldlsolve` kernels,
+//!   per FMA kind,
 //!
-//! so any change to rounding, normalization, transport-format geometry
-//! or tape lowering that alters even one result bit fails here with the
-//! exact case identified.
+//! so any change to rounding, normalization, transport-format geometry,
+//! fusion or tape lowering that alters even one result bit or one fused
+//! node fails here with the exact case identified.
 //!
 //! Regenerate after an *intentional* semantics change with:
 //!
@@ -32,9 +36,13 @@
 //! formatting of decimal floats.
 
 use csfma::core::{plane_fma_chunk, ClassicFma, CsFmaFormat, CsFmaUnit, CsOperand, PlaneScratch};
-use csfma::hls::{compile, fuse_critical_paths, parse_program, FmaKind, FusionConfig, TapeBackend};
+use csfma::hls::{
+    compile, fuse_critical_paths, graph_fingerprint, parse_program, Cdfg, FmaKind, FusionConfig,
+    TapeBackend,
+};
 use csfma::obs::Json;
 use csfma::softfloat::{FpFormat, Round, SoftFloat};
+use csfma::solvers::{generate_ldlsolve, solver_suite, KktSystem, LdlFactors};
 use std::path::PathBuf;
 
 const F: FpFormat = FpFormat::BINARY64;
@@ -143,7 +151,7 @@ const DATAPATHS: &[&str] = &["listing1", "horner8", "dot6"];
 const FUSIONS: &[&str] = &["none", "pcs", "fcs"];
 const GOLDEN_ROWS: usize = 8;
 
-fn build_graph(name: &str, fuse: &str) -> csfma::hls::Cdfg {
+fn build_graph(name: &str, fuse: &str) -> Cdfg {
     let g = parse_program(&example_source(name)).expect("example programs parse");
     match fuse {
         "none" => g,
@@ -159,6 +167,50 @@ fn backend_of(name: &str) -> TapeBackend {
         "f64" => TapeBackend::F64,
         other => panic!("unknown backend {other:?}"),
     }
+}
+
+// ---------------------------------------------------------------------
+// Fusion corpus: what the Fig. 12 pass makes of every program, per kind
+// ---------------------------------------------------------------------
+
+const FUSION_EXAMPLES: &[&str] = &["listing1", "horner8", "dot6", "dot6_bounded"];
+/// Leading `solver_suite()` problems whose `ldlsolve` kernels (540, 1140
+/// and 1740 nodes) are pinned.
+const FUSION_SOLVERS: usize = 3;
+const FUSION_KINDS: &[(&str, FmaKind)] = &[("pcs", FmaKind::Pcs), ("fcs", FmaKind::Fcs)];
+
+/// The unfused programs of the fusion corpus, by name.
+fn fusion_programs() -> Vec<(String, Cdfg)> {
+    let mut progs: Vec<(String, Cdfg)> = FUSION_EXAMPLES
+        .iter()
+        .map(|&name| (name.to_string(), build_graph(name, "none")))
+        .collect();
+    for (i, problem) in solver_suite().iter().take(FUSION_SOLVERS).enumerate() {
+        let factors = LdlFactors::factor(&KktSystem::assemble(problem).matrix);
+        progs.push((
+            format!("ldlsolve-s{}", i + 1),
+            generate_ldlsolve(&factors).cdfg,
+        ));
+    }
+    progs
+}
+
+/// Fuse `g` with `kind` and record the outcome's structure.
+fn fusion_record(name: &str, kind: (&str, FmaKind), g: &Cdfg) -> Json {
+    let rep = fuse_critical_paths(g, &FusionConfig::new(kind.1));
+    Json::obj([
+        ("name", name.into()),
+        ("kind", kind.0.into()),
+        (
+            "graph_fingerprint",
+            format!("0x{:016x}", graph_fingerprint(&rep.fused)).into(),
+        ),
+        ("nodes", rep.fused.len().into()),
+        ("passes", rep.passes.into()),
+        ("initial_length", u64::from(rep.initial_length).into()),
+        ("final_length", u64::from(rep.final_length).into()),
+        ("fma_nodes", rep.fma_nodes.into()),
+    ])
 }
 
 // ---------------------------------------------------------------------
@@ -392,6 +444,35 @@ fn golden_plane_kernel_vectors_hold() {
     );
 }
 
+#[test]
+fn golden_fusion_corpus_holds() {
+    let doc = load("fusion.json");
+    let cases = items(field(&doc, "cases"));
+    let progs = fusion_programs();
+    assert_eq!(
+        cases.len(),
+        progs.len() * FUSION_KINDS.len(),
+        "fusion corpus size drifted"
+    );
+    for case in cases {
+        let name = text(field(case, "name"));
+        let kind_name = text(field(case, "kind"));
+        let kind = *FUSION_KINDS
+            .iter()
+            .find(|(k, _)| *k == kind_name)
+            .unwrap_or_else(|| panic!("unknown fusion kind {kind_name:?}"));
+        let (_, g) = progs
+            .iter()
+            .find(|(n, _)| n == name)
+            .unwrap_or_else(|| panic!("unknown fusion program {name:?}"));
+        assert_eq!(
+            &fusion_record(name, kind, g),
+            case,
+            "fusion of {name} with {kind_name} drifted from the pinned record"
+        );
+    }
+}
+
 /// Mutation coverage of the corpus itself: arm one plane strike (a
 /// single flipped product-sum plane word, lane 0) on this thread — the
 /// first kernel call of the corpus consumes it — and require the golden
@@ -486,4 +567,13 @@ fn regenerate_golden_files() {
         ]));
     }
     store("plane_kernel.json", cases(planes));
+
+    // --- fusion corpus ---
+    let mut fusions = Vec::new();
+    for (name, g) in fusion_programs() {
+        for &kind in FUSION_KINDS {
+            fusions.push(fusion_record(&name, kind, &g));
+        }
+    }
+    store("fusion.json", cases(fusions));
 }
