@@ -43,9 +43,17 @@ done
 cargo test -q --test golden_vectors
 cargo test -q --test cli_run
 
-# flake gate: the suites that share fault, plane-kernel, JIT-counter
-# and observability state run 20 times at default harness parallelism;
-# tier-1 must pass every time, not most of the time
+# the fusion pass once more in a release build: debug builds materialize
+# and lint every fusion trial as a Cdfg, release builds run only the
+# flat working graph (DESIGN.md §7 item 5), so that path needs its own
+# run of the csfma-hls unit tests (the flat-vs-Cdfg-loop differential
+# proptest among them) and of the golden fusion corpus
+cargo test -q --release -p csfma-hls --lib
+cargo test -q --release --test golden_vectors
+
+# flake gate: the suites that share fault, plane-kernel, JIT-counter,
+# observability and scheduler state run 20 times at default harness
+# parallelism; tier-1 must pass every time, not most of the time
 i=0
 while [ "$i" -lt 20 ]; do
     cargo test -q --test golden_vectors
@@ -54,6 +62,7 @@ while [ "$i" -lt 20 ]; do
     cargo test -q --test observability
     cargo test -q --test cli_run
     cargo test -q --test jit_differential
+    cargo test -q --test scheduler
     i=$((i + 1))
 done
 

@@ -200,6 +200,45 @@ fn resource_limited_schedule_still_gains() {
     );
 }
 
+/// One step of [`random_fusion_dag`]: an op selector and two operand picks.
+type DagStep = (usize, prop::sample::Index, prop::sample::Index);
+
+fn dag_steps() -> impl Strategy<Value = Vec<DagStep>> {
+    prop::collection::vec(
+        (
+            0usize..4,
+            any::<prop::sample::Index>(),
+            any::<prop::sample::Index>(),
+        ),
+        4..40,
+    )
+}
+
+/// Random multiply-add DAG over inputs `v0..v7`: each step appends an
+/// add, a sub, a mul or a mul→add pair over earlier values; the last
+/// value is the one output, so earlier values may be dead.
+fn random_fusion_dag(steps: &[DagStep]) -> Cdfg {
+    let mut g = Cdfg::new();
+    let mut pool: Vec<NodeId> = (0..8).map(|i| g.input(format!("v{i}"))).collect();
+    for (op, i1, i2) in steps {
+        let x = pool[i1.index(pool.len())];
+        let y = pool[i2.index(pool.len())];
+        let id = match op {
+            0 => g.add(x, y),
+            1 => g.sub(x, y),
+            2 => g.mul(x, y),
+            _ => {
+                let m = g.mul(x, y);
+                g.add(m, x)
+            }
+        };
+        pool.push(id);
+    }
+    let last = *pool.last().unwrap();
+    g.output("y", last);
+    g
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -207,27 +246,10 @@ proptest! {
     /// relative envelope and never lengthens the dataflow schedule.
     #[test]
     fn prop_fusion_correct_on_random_dags(
-        ops in prop::collection::vec((0usize..4, any::<prop::sample::Index>(), any::<prop::sample::Index>()), 4..40),
+        ops in dag_steps(),
         vals in prop::collection::vec(-3.0f64..3.0, 8),
     ) {
-        let mut g = Cdfg::new();
-        let mut pool: Vec<NodeId> = (0..8).map(|i| g.input(format!("v{i}"))).collect();
-        for (op, i1, i2) in &ops {
-            let x = pool[i1.index(pool.len())];
-            let y = pool[i2.index(pool.len())];
-            let id = match op {
-                0 => g.add(x, y),
-                1 => g.sub(x, y),
-                2 => g.mul(x, y),
-                _ => {
-                    let m = g.mul(x, y);
-                    g.add(m, x)
-                }
-            };
-            pool.push(id);
-        }
-        let last = *pool.last().unwrap();
-        g.output("y", last);
+        let g = random_fusion_dag(&ops);
         let ins: HashMap<String, f64> =
             vals.iter().enumerate().map(|(i, v)| (format!("v{i}"), *v)).collect();
         let want = eval_f64(&g, &ins)["y"];
@@ -381,13 +403,10 @@ fn fused_solver_source_dump_is_consistent() {
     assert_eq!(src.matches("out y =").count(), 1);
 }
 
-/// A graph fused with PCS and then fused again with FCS: every FMA must
-/// be fed and read back by conversions of its own kind. Deduplicating
-/// conversions by source alone once handed a new FCS `Fma` an existing
-/// `IeeeToCs(Pcs)` as its `C` port, which the checker accepted (its
-/// domains match) and the bit-accurate interpreter then refused.
-#[test]
-fn fusing_again_with_the_other_kind_keeps_conversions_per_kind() {
+/// A graph that, fused with PCS and then fused again with FCS, gives a
+/// new FCS `Fma` a `C` operand that already has an `IeeeToCs(Pcs)`.
+/// Unused nodes are kept on purpose.
+fn mixed_kind_reproducer() -> Cdfg {
     let mut g = Cdfg::new();
     let v: Vec<NodeId> = (0..8).map(|i| g.input(format!("v{i}"))).collect();
     let n8 = g.sub(v[4], v[3]);
@@ -408,7 +427,17 @@ fn fusing_again_with_the_other_kind_keeps_conversions_per_kind() {
     g.sub(v[4], v[2]);
     let y = g.mul(n21, n22);
     g.output("y", y);
+    g
+}
 
+/// A graph fused with PCS and then fused again with FCS: every FMA must
+/// be fed and read back by conversions of its own kind. Deduplicating
+/// conversions by source alone once handed a new FCS `Fma` an existing
+/// `IeeeToCs(Pcs)` as its `C` port, which the checker accepted (its
+/// domains match) and the bit-accurate interpreter then refused.
+#[test]
+fn fusing_again_with_the_other_kind_keeps_conversions_per_kind() {
+    let g = mixed_kind_reproducer();
     let pcs = fuse_critical_paths(&g, &FusionConfig::new(FmaKind::Pcs)).fused;
     let both = fuse_critical_paths(&pcs, &FusionConfig::new(FmaKind::Fcs)).fused;
     let kinds_of = |k: FmaKind| both.count_ops(|o| matches!(o, Op::Fma { kind, .. } if *kind == k));
@@ -436,4 +465,196 @@ fn fusing_again_with_the_other_kind_keeps_conversions_per_kind() {
         (got - want).abs() <= want.abs().max(1e-3) * 1e-10,
         "{got} vs {want}"
     );
+}
+
+/// The Fig. 12 loop as it ran on [`Cdfg`] before the pass moved to a
+/// flat working graph: every trial rebuilds the whole graph three
+/// times (rewrite, conversion elimination, dead-node elimination).
+/// Kept only as the differential reference of the production pass.
+mod reference {
+    use super::*;
+    use crate::fuse::FusionReport;
+    use crate::sched::alap_schedule;
+
+    struct Candidate {
+        add_id: NodeId,
+        a_arg: NodeId,
+        negate_a: bool,
+        b_arg: NodeId,
+        negate_b: bool,
+        c_arg: NodeId,
+    }
+
+    fn find_candidates(g: &Cdfg, t: &OpTiming) -> Vec<Candidate> {
+        let s = asap_schedule(g, t);
+        let alap = alap_schedule(g, t);
+        let critical = |id: NodeId| s.start[id] == alap.start[id];
+        let finish = |id: NodeId| s.start[id] + t.latency(&g.nodes()[id].op);
+        let mut out = Vec::new();
+        for add_id in 0..g.len() {
+            let n = &g.nodes()[add_id];
+            let is_sub = match n.op {
+                Op::Add => false,
+                Op::Sub => true,
+                _ => continue,
+            };
+            if !critical(add_id) {
+                continue;
+            }
+            for (pos, &mul_id) in n.args.iter().enumerate() {
+                if !matches!(g.nodes()[mul_id].op, Op::Mul) || !critical(mul_id) {
+                    continue;
+                }
+                let (negate_a, negate_b) = match (is_sub, pos) {
+                    (false, _) => (false, false),
+                    (true, 1) => (false, true),
+                    (true, _) => (true, false),
+                };
+                let (u, w) = (g.nodes()[mul_id].args[0], g.nodes()[mul_id].args[1]);
+                let (b_arg, c_arg) = if finish(u) >= finish(w) {
+                    (w, u)
+                } else {
+                    (u, w)
+                };
+                out.push(Candidate {
+                    add_id,
+                    a_arg: n.args[1 - pos],
+                    negate_a,
+                    b_arg,
+                    negate_b,
+                    c_arg,
+                });
+            }
+        }
+        out
+    }
+
+    fn apply(g: &Cdfg, cand: &Candidate, kind: FmaKind) -> Cdfg {
+        let mut out = Cdfg::new();
+        let mut map: Vec<NodeId> = Vec::with_capacity(g.len());
+        for (id, n) in g.nodes().iter().enumerate() {
+            if id == cand.add_id {
+                let mut a = map[cand.a_arg];
+                if cand.negate_a {
+                    a = out.push(Op::Neg, vec![a]);
+                }
+                let a_cs = out.push(Op::IeeeToCs(kind), vec![a]);
+                let c_cs = out.push(Op::IeeeToCs(kind), vec![map[cand.c_arg]]);
+                let fma = out.push(
+                    Op::Fma {
+                        kind,
+                        negate_b: cand.negate_b,
+                    },
+                    vec![a_cs, map[cand.b_arg], c_cs],
+                );
+                map.push(out.push(Op::CsToIeee(kind), vec![fma]));
+            } else {
+                let args = n.args.iter().map(|&a| map[a]).collect();
+                map.push(out.push(n.op.clone(), args));
+            }
+        }
+        out
+    }
+
+    fn eliminate_conversions(g: &Cdfg) -> Cdfg {
+        let mut out = Cdfg::new();
+        let mut map: Vec<NodeId> = Vec::with_capacity(g.len());
+        let mut conv_cache: HashMap<(NodeId, bool, FmaKind), NodeId> = HashMap::new();
+        for n in g.nodes() {
+            let mapped: Vec<NodeId> = n.args.iter().map(|&a| map[a]).collect();
+            let id = match &n.op {
+                Op::IeeeToCs(k) => {
+                    let src = mapped[0];
+                    if out.nodes()[src].op == Op::CsToIeee(*k) {
+                        map.push(out.nodes()[src].args[0]);
+                        continue;
+                    }
+                    *conv_cache
+                        .entry((src, true, *k))
+                        .or_insert_with(|| out.push(Op::IeeeToCs(*k), vec![src]))
+                }
+                Op::CsToIeee(k) => *conv_cache
+                    .entry((mapped[0], false, *k))
+                    .or_insert_with(|| out.push(Op::CsToIeee(*k), vec![mapped[0]])),
+                _ => out.push(n.op.clone(), mapped),
+            };
+            map.push(id);
+        }
+        out
+    }
+
+    pub(super) fn fuse(g: &Cdfg, cfg: &FusionConfig) -> FusionReport {
+        let t = &cfg.timing;
+        let initial_length = asap_schedule(g, t).length;
+        let mut cur = g.clone();
+        let mut cur_length = initial_length;
+        let mut passes = 0;
+        'outer: while passes < cfg.max_passes {
+            for cand in find_candidates(&cur, t) {
+                let trial = eliminate_conversions(&apply(&cur, &cand, cfg.kind))
+                    .eliminate_dead()
+                    .0;
+                let len = asap_schedule(&trial, t).length;
+                if len <= cur_length {
+                    cur = trial;
+                    cur_length = len;
+                    passes += 1;
+                    continue 'outer;
+                }
+            }
+            break;
+        }
+        FusionReport {
+            final_length: asap_schedule(&cur, t).length,
+            fma_nodes: cur.count_ops(|o| matches!(o, Op::Fma { .. })),
+            fused: cur,
+            initial_length,
+            passes,
+        }
+    }
+}
+
+/// Fuse `g` with the production pass and with [`reference::fuse`] and
+/// require the same graph, node for node, and the same report.
+fn fuse_like_reference(g: &Cdfg, kind: FmaKind) -> crate::fuse::FusionReport {
+    let cfg = FusionConfig::new(kind);
+    let got = fuse_critical_paths(g, &cfg);
+    let want = reference::fuse(g, &cfg);
+    prop_assert_eq!(
+        got.fused.nodes(),
+        want.fused.nodes(),
+        "{:?} fused graph",
+        kind
+    );
+    prop_assert_eq!(got.passes, want.passes, "{:?} passes", kind);
+    prop_assert_eq!(got.initial_length, want.initial_length);
+    prop_assert_eq!(got.final_length, want.final_length);
+    prop_assert_eq!(got.fma_nodes, want.fma_nodes);
+    got
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The flat-graph pass picks the same candidates and builds the same
+    /// graph as the `Cdfg`-rebuilding loop, for either kind and when a
+    /// fused graph is fused again with the other kind (mixed kinds are
+    /// where conversion cancellation and deduplication must respect the
+    /// kind).
+    #[test]
+    fn prop_flat_fusion_matches_the_cdfg_loop(ops in dag_steps()) {
+        let g = random_fusion_dag(&ops);
+        for (first, second) in [(FmaKind::Pcs, FmaKind::Fcs), (FmaKind::Fcs, FmaKind::Pcs)] {
+            let once = fuse_like_reference(&g, first);
+            fuse_like_reference(&once.fused, second);
+        }
+    }
+}
+
+/// The random DAGs rarely give a new FMA an operand that already has a
+/// conversion of the other kind; the reproducer does.
+#[test]
+fn flat_fusion_matches_the_cdfg_loop_on_the_mixed_kind_reproducer() {
+    let once = fuse_like_reference(&mixed_kind_reproducer(), FmaKind::Pcs);
+    fuse_like_reference(&once.fused, FmaKind::Fcs);
 }
