@@ -3,7 +3,9 @@
 //! compiled-tape bit path with its observability counters — the first
 //! place to look when the throughput gate regresses.
 
-use csfma_core::{plane_fma_chunk, CsFmaFormat, CsFmaUnit, CsOperand, FmaScratch, PlaneScratch};
+use csfma_core::{
+    plane_fma, CsFmaFormat, CsFmaUnit, CsOperand, FmaScratch, PlaneBank, PlaneScratch,
+};
 use csfma_hls::{compile, fuse_critical_paths, parse_program, FmaKind, FusionConfig, TapeBackend};
 use csfma_obs::Profiler;
 use csfma_softfloat::{FpFormat, SoftFloat};
@@ -21,10 +23,17 @@ fn main() {
     let mut ps = PlaneScratch::default();
     let iters = 2000;
 
-    // raw plane kernel
+    // raw plane kernel on plane-resident registers, as the tape
+    // executor runs it
+    let mut regs = PlaneBank::default();
+    regs.configure(3, &[fmt]);
+    for k in 0..64 {
+        regs.scatter(0, k, &bank[k]);
+        regs.scatter(1, k, &bank[64 + k]);
+    }
     let t0 = Instant::now();
     for _ in 0..iters {
-        plane_fma_chunk(&unit, &mut bank, 0, 64, 128, &b, 64, &mut ps);
+        plane_fma(&unit, &mut regs, 0, 1, 2, &b, 64, &mut ps);
     }
     let plane_ns = t0.elapsed().as_nanos() as f64 / iters as f64;
 

@@ -479,6 +479,25 @@ impl CsFmaUnit {
         a_shift: i64,
         p_shift: i64,
     ) -> usize {
+        let red = |x: &CsOperand| {
+            (!x.mant().is_canonical_zero()).then(|| anticipate_leading_cs(x.mant()))
+        };
+        let red_a = if a_zero { None } else { red(a) };
+        self.skip_from_anticipation(red_a, red(c), a_shift, p_shift)
+    }
+
+    /// The window-placement half of [`CsFmaUnit::anticipated_skip`]:
+    /// the block skip implied by the anticipated leading non-significant
+    /// bits of `A` and `C` (`None` for a zero or canonically zero
+    /// mantissa). The bit-plane kernel computes the anticipations for 64
+    /// lanes at once and finishes each lane here.
+    pub(crate) fn skip_from_anticipation(
+        &self,
+        red_a: Option<usize>,
+        red_c: Option<usize>,
+        a_shift: i64,
+        p_shift: i64,
+    ) -> usize {
         let f = &self.format;
         let m = f.mant_bits() as i64;
         let bb = f.block_bits as i64;
@@ -489,15 +508,13 @@ impl CsFmaUnit {
             bound = Some(bound.map_or(msb, |b: i64| b.max(msb)));
         };
 
-        if !a_zero && !a.mant().is_canonical_zero() {
+        if let Some(red_a) = red_a {
             // exact A (m+2-bit two-word sum) has magnitude < 2^(m+1-red)
-            let red_a = anticipate_leading_cs(a.mant()) as i64;
-            push(a_shift + m - red_a);
+            push(a_shift + m - red_a as i64);
         }
-        if !c.mant().is_canonical_zero() {
-            let red_c = anticipate_leading_cs(c.mant()) as i64;
+        if let Some(red_c) = red_c {
             // |C| < 2^(m+1-red), |B_M| < 2^(b_sig); +1 for the correction row
-            push(p_shift + (m - red_c) + f.b_sig_bits as i64);
+            push(p_shift + (m - red_c as i64) + f.b_sig_bits as i64);
         }
 
         let Some(bound) = bound else {

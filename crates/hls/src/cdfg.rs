@@ -1,11 +1,11 @@
 //! The datapath IR: a DAG of floating-point operations.
 //!
 //! Nodes are stored in topological order (arguments always precede their
-//! users), which straight-line solver code produces naturally. Two value
-//! domains exist: plain IEEE 754 (`Domain::Ieee`) and the carry-save FMA
-//! transport format (`Domain::Cs`); explicit conversion nodes cross
-//! between them, exactly like the conversion hardware the fusion pass
-//! inserts (Fig. 12b).
+//! users), which straight-line solver code produces naturally. Value
+//! domains are plain IEEE 754 (`Domain::Ieee`) and the carry-save FMA
+//! transport format of each unit kind (`Domain::Cs(kind)`); explicit
+//! conversion nodes cross between them, exactly like the conversion
+//! hardware the fusion pass inserts (Fig. 12b).
 
 /// Index of a node in its [`Cdfg`].
 pub type NodeId = usize;
@@ -24,8 +24,10 @@ pub enum FmaKind {
 pub enum Domain {
     /// IEEE 754 binary64.
     Ieee,
-    /// Carry-save transport format of the FMA chain.
-    Cs,
+    /// Carry-save transport format of the FMA chain on the unit of this
+    /// kind. PCS and FCS operands differ in width and carry geometry, so
+    /// the two kinds are distinct domains.
+    Cs(FmaKind),
 }
 
 /// Operation of a node. Argument counts and domains are validated by
@@ -78,7 +80,7 @@ impl Op {
     /// Result domain.
     pub fn domain(&self) -> Domain {
         match self {
-            Op::Fma { .. } | Op::IeeeToCs(_) => Domain::Cs,
+            Op::Fma { kind, .. } | Op::IeeeToCs(kind) => Domain::Cs(*kind),
             _ => Domain::Ieee,
         }
     }
@@ -242,14 +244,8 @@ impl Cdfg {
             if !ordered || n.args.len() != n.op.arity() {
                 continue; // domain checks need well-formed edges
             }
-            let expected: &[Domain] = match &n.op {
-                Op::Input(_) | Op::Const(_) => &[],
-                Op::Neg | Op::Output(_) | Op::IeeeToCs(_) => &[Domain::Ieee],
-                Op::CsToIeee(_) => &[Domain::Cs],
-                Op::Add | Op::Sub | Op::Mul | Op::Div => &[Domain::Ieee, Domain::Ieee],
-                Op::Fma { .. } => &[Domain::Cs, Domain::Ieee, Domain::Cs],
-            };
-            for (slot, (&a, &want)) in n.args.iter().zip(expected).enumerate() {
+            let expected = crate::lint::port_domains(&n.op);
+            for (slot, (&a, &want)) in n.args.iter().zip(&expected).enumerate() {
                 let got = self.nodes[a].op.domain();
                 if got != want {
                     diags.push(Diagnostic::error(

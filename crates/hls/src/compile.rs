@@ -52,7 +52,7 @@ use crate::robust::ChunkFaults;
 use crate::sched::{OpTiming, ResourceLimits, Schedule};
 use csfma_core::batch::{par_chunks_indexed, CHUNK_ROWS};
 use csfma_core::fault::{FaultDetected, FmaCtl};
-use csfma_core::{CsFmaFormat, CsFmaUnit, CsOperand, FmaScratch, PlaneScratch};
+use csfma_core::{CsFmaFormat, CsFmaUnit, CsOperand, FmaScratch, PlaneBank, PlaneScratch};
 use csfma_obs::Profiler;
 use csfma_softfloat::batch as sfb;
 use csfma_softfloat::{FpFormat, Round, SoftFloat};
@@ -67,9 +67,11 @@ const F: FpFormat = FpFormat::BINARY64;
 /// Fewest lanes for which a fused instruction runs on the bit-plane
 /// kernel instead of the scalar units (DESIGN.md §13.2). The kernel is
 /// bit-exact at any `len <= CHUNK_ROWS`; below this break-even its
-/// fixed per-chunk cost (transposes, plane setup) outweighs the scalar
-/// units. Keeps `eval_row` and JIT bailouts (`len = 1`) scalar.
-const PLANE_MIN_LANES: usize = 4;
+/// fixed per-chunk cost (every gate level runs on whole plane words,
+/// whatever the lane count) outweighs the scalar units, which gather
+/// and scatter each lane. Keeps `eval_row` and JIT bailouts (`len = 1`)
+/// scalar.
+const PLANE_MIN_LANES: usize = 3;
 
 /// Structured compilation failure: the graph carries outstanding
 /// error-severity checker diagnostics (`D*`, `S*` or `W*` rules).
@@ -276,7 +278,7 @@ pub struct Tape {
     /// Per-instruction bit-plane eligibility (sibling of `promoted`):
     /// `plane_eligible[i]` lets the bit-accurate backend evaluate fused
     /// instruction `i` with the digit-plane chunk kernel
-    /// (`csfma_core::plane_fma_chunk`) on chunks of at least
+    /// (`csfma_core::plane_fma`) on chunks of at least
     /// `PLANE_MIN_LANES` rows, up to 64 lanes per gate level. Computed
     /// at lowering (every `Fma` qualifies — the kernel is format-generic
     /// and resolves exception lanes on the scalar path); a separate flag
@@ -294,16 +296,21 @@ pub struct Tape {
 }
 
 /// Reusable per-worker register file for tape execution: each register
-/// slot is a plane of [`CHUNK_ROWS`] contiguous lanes, evaluated
-/// column-wise one instruction at a time ([`Tape::eval_row`] uses lane
-/// 0). One scratch per worker amortizes the carry-save slot and working
-/// buffer allocations over a whole batch.
+/// slot holds [`CHUNK_ROWS`] lanes, evaluated column-wise one
+/// instruction at a time ([`Tape::eval_row`] uses lane 0). One scratch
+/// per worker amortizes the register and working buffer allocations
+/// over a whole batch.
+///
+/// The binary64 bank is shared; each semantics keeps its own carry-save
+/// bank (`CsBank`), sized on first use: the bit-accurate semantics a
+/// [`PlaneBank`] of bit-plane registers, the oracle one [`CsOperand`]
+/// per lane, and the f64 semantics plain doubles (conversions are
+/// wiring there).
 #[derive(Clone, Debug)]
 pub struct TapeScratch {
     pub(crate) f: Vec<f64>,
+    pub(crate) planes: PlaneBank,
     pub(crate) cs: Vec<CsOperand>,
-    // the f64 semantics models CS-domain values as plain doubles
-    // (conversions are wiring there), so it shadows the CS bank here
     pub(crate) cs_f: Vec<f64>,
     pub(crate) units: Units,
 }
@@ -771,7 +778,7 @@ fn lower(g: &Cdfg, pcs_format: CsFmaFormat, fcs_format: CsFmaFormat) -> Tape {
             if last_use[a] == id && reg[a] != u32::MAX {
                 match nodes[a].op.domain() {
                     crate::cdfg::Domain::Ieee => free_f64.push(reg[a]),
-                    crate::cdfg::Domain::Cs => free_cs.push(reg[a]),
+                    crate::cdfg::Domain::Cs(_) => free_cs.push(reg[a]),
                 }
                 reg[a] = u32::MAX; // freed exactly once even with two reads
             }
@@ -787,7 +794,7 @@ fn lower(g: &Cdfg, pcs_format: CsFmaFormat, fcs_format: CsFmaFormat) -> Tape {
                     (n_f64_regs - 1) as u32
                 }
             },
-            crate::cdfg::Domain::Cs => match free_cs.pop() {
+            crate::cdfg::Domain::Cs(_) => match free_cs.pop() {
                 Some(r) => {
                     slots_reclaimed += 1;
                     r
@@ -1015,6 +1022,7 @@ impl Tape {
             .pop();
         let mut s = recycled.unwrap_or_else(|| TapeScratch {
             f: Vec::new(),
+            planes: PlaneBank::default(),
             cs: Vec::new(),
             cs_f: Vec::new(),
             units: Units {
@@ -1026,11 +1034,6 @@ impl Tape {
             },
         });
         s.f.resize(self.n_f64_regs * CHUNK_ROWS, 0.0);
-        s.cs_f.resize(self.n_cs_regs * CHUNK_ROWS, 0.0);
-        s.cs.resize(
-            self.n_cs_regs * CHUNK_ROWS,
-            CsOperand::zero(self.pcs_format, false),
-        );
         s.units.pcs = CsFmaUnit::new(self.pcs_format);
         s.units.fcs = CsFmaUnit::new(self.fcs_format);
         PooledChunkScratch(Some(s))
@@ -1304,7 +1307,7 @@ impl Tape {
         let ni = self.inputs.len();
         let no = self.outputs.len();
         let p = |r: u32| r as usize * CHUNK_ROWS;
-        let (f, cs, units) = S::Cs::banks(s);
+        let (f, cs, units) = S::Cs::banks(self, s);
         for (i, ins) in self.instrs.iter().enumerate() {
             match *ins {
                 Instr::LoadInput { dst, input } => {
@@ -1332,10 +1335,10 @@ impl Tape {
                     let op = FmaLanes {
                         kind,
                         negate_b,
-                        dst: p(dst),
-                        acc: p(acc),
+                        dst: dst as usize,
+                        acc: acc as usize,
                         b: p(b),
-                        mulc: p(mulc),
+                        mulc: mulc as usize,
                         len,
                     };
                     S::fma(self, i, op, f, cs, units, faults.as_deref_mut());
@@ -1345,16 +1348,10 @@ impl Tape {
                         FmaKind::Pcs => self.pcs_format,
                         FmaKind::Fcs => self.fcs_format,
                     };
-                    let (d, x) = (p(dst), p(src));
-                    for k in 0..len {
-                        cs[d + k] = S::Cs::from_ieee(f[x + k], fmt);
-                    }
+                    cs.ieee_to_cs(dst as usize, fmt, &f[p(src)..p(src) + len]);
                 }
                 Instr::CsToIeee { dst, src } => {
-                    let (d, x) = (p(dst), p(src));
-                    for k in 0..len {
-                        f[d + k] = cs[x + k].to_ieee();
-                    }
+                    cs.cs_to_ieee(src as usize, &mut f[p(dst)..p(dst) + len]);
                 }
                 Instr::Store { output, src } => {
                     let x = p(src);
@@ -1397,9 +1394,10 @@ impl Tape {
     }
 }
 
-/// The plane offsets and lane count of one fused instruction, as
-/// [`Semantics::fma`] receives them: `cs[dst + k] = fma(cs[acc + k],
-/// ±f[b + k], cs[mulc + k])` for `k < len`.
+/// The operands and lane count of one fused instruction, as
+/// [`Semantics::fma`] receives them: lane `k` of carry-save register
+/// `dst` becomes `fma(c[acc][k], ±f[b + k], c[mulc][k])` for `k < len`
+/// (`b` is the binary64 plane offset).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct FmaLanes {
     kind: FmaKind,
@@ -1427,8 +1425,8 @@ pub(crate) enum IeeeOp {
 /// and [`Oracle`] mirror the operator stacks of the CDFG interpreters
 /// in [`crate::interp`].
 pub(crate) trait Semantics {
-    /// Element of the carry-save register bank.
-    type Cs: CsSlot;
+    /// The carry-save register bank.
+    type Cs: CsBank;
     /// A row input or pool constant as it enters the binary64 bank.
     fn input(v: f64) -> f64;
     /// Whether instruction `i` may run as the raw host operation.
@@ -1444,56 +1442,99 @@ pub(crate) trait Semantics {
         i: usize,
         op: FmaLanes,
         f: &[f64],
-        cs: &mut [Self::Cs],
+        cs: &mut Self::Cs,
         u: &mut Units,
         faults: Option<&mut ChunkFaults<'_>>,
     );
 }
 
-/// A carry-save bank element: a real [`CsOperand`], or a plain double
-/// under [`F64`] semantics, where the domain conversions are wiring.
-pub(crate) trait CsSlot: Sized {
-    /// The binary64 bank, the carry-save bank of this element type and
-    /// the fused-datapath state of `s`.
-    fn banks(s: &mut TapeScratch) -> (&mut [f64], &mut [Self], &mut Units);
-    /// `IeeeToCs` into `fmt`.
-    fn from_ieee(v: f64, fmt: CsFmaFormat) -> Self;
-    /// `CsToIeee` (resolve + normalize + round to binary64).
-    fn to_ieee(&self) -> f64;
-    /// A register-plane upset: flip one stored bit.
-    fn flip(&mut self, bit: u32);
+/// A carry-save register bank, addressed by register and lane at chunk
+/// granularity: a [`PlaneBank`] of bit-plane registers under [`Bit`],
+/// one [`CsOperand`] per lane under [`Oracle`], a plain double per lane
+/// under [`F64`], where the domain conversions are wiring.
+pub(crate) trait CsBank {
+    /// The binary64 bank, this semantics' carry-save bank (sized for
+    /// `t` on first use) and the fused-datapath state of `s`.
+    fn banks<'s>(t: &Tape, s: &'s mut TapeScratch) -> (&'s mut [f64], &'s mut Self, &'s mut Units);
+    /// `IeeeToCs` into `fmt`: lane `k` of register `dst` from `src[k]`.
+    fn ieee_to_cs(&mut self, dst: usize, fmt: CsFmaFormat, src: &[f64]);
+    /// `CsToIeee` (resolve + normalize + round to binary64): `dst[k]`
+    /// from lane `k` of register `src`.
+    fn cs_to_ieee(&mut self, src: usize, dst: &mut [f64]);
+    /// A register upset: flip stored bit `bit` of lane `lane` of `reg`.
+    fn flip(&mut self, reg: usize, lane: usize, bit: u32);
 }
 
-impl CsSlot for f64 {
-    fn banks(s: &mut TapeScratch) -> (&mut [f64], &mut [f64], &mut Units) {
+/// Flip bit `bit % 64` of a binary64 register lane.
+pub(crate) fn flip_f64(x: &mut f64, bit: u32) {
+    *x = f64::from_bits(x.to_bits() ^ (1u64 << (bit % 64)));
+}
+
+impl CsBank for Vec<f64> {
+    fn banks<'s>(t: &Tape, s: &'s mut TapeScratch) -> (&'s mut [f64], &'s mut Self, &'s mut Units) {
+        s.cs_f.resize(t.n_cs_regs * CHUNK_ROWS, 0.0);
         (&mut s.f, &mut s.cs_f, &mut s.units)
     }
-    fn from_ieee(v: f64, _fmt: CsFmaFormat) -> f64 {
-        v
+    fn ieee_to_cs(&mut self, dst: usize, _fmt: CsFmaFormat, src: &[f64]) {
+        let d = dst * CHUNK_ROWS;
+        self[d..d + src.len()].copy_from_slice(src);
     }
-    fn to_ieee(&self) -> f64 {
-        *self
+    fn cs_to_ieee(&mut self, src: usize, dst: &mut [f64]) {
+        let x = src * CHUNK_ROWS;
+        dst.copy_from_slice(&self[x..x + dst.len()]);
     }
-    fn flip(&mut self, bit: u32) {
-        *self = f64::from_bits(self.to_bits() ^ (1u64 << (bit % 64)));
+    fn flip(&mut self, reg: usize, lane: usize, bit: u32) {
+        flip_f64(&mut self[reg * CHUNK_ROWS + lane], bit);
     }
 }
 
-impl CsSlot for CsOperand {
-    fn banks(s: &mut TapeScratch) -> (&mut [f64], &mut [CsOperand], &mut Units) {
+impl CsBank for Vec<CsOperand> {
+    fn banks<'s>(t: &Tape, s: &'s mut TapeScratch) -> (&'s mut [f64], &'s mut Self, &'s mut Units) {
+        s.cs.resize(
+            t.n_cs_regs * CHUNK_ROWS,
+            CsOperand::zero(t.pcs_format, false),
+        );
         (&mut s.f, &mut s.cs, &mut s.units)
     }
-    fn from_ieee(v: f64, fmt: CsFmaFormat) -> CsOperand {
-        CsOperand::from_f64(v, fmt)
+    fn ieee_to_cs(&mut self, dst: usize, fmt: CsFmaFormat, src: &[f64]) {
+        for (k, &v) in src.iter().enumerate() {
+            self[dst * CHUNK_ROWS + k] = CsOperand::from_f64(v, fmt);
+        }
     }
-    fn to_ieee(&self) -> f64 {
-        CsOperand::to_ieee(self, F, Round::NearestEven).to_f64()
+    fn cs_to_ieee(&mut self, src: usize, dst: &mut [f64]) {
+        for (k, d) in dst.iter_mut().enumerate() {
+            *d = self[src * CHUNK_ROWS + k]
+                .to_ieee(F, Round::NearestEven)
+                .to_f64();
+        }
     }
-    fn flip(&mut self, bit: u32) {
+    fn flip(&mut self, reg: usize, lane: usize, bit: u32) {
         #[cfg(feature = "fault-inject")]
-        self.fault_flip_mant_bit(bit as usize);
+        self[reg * CHUNK_ROWS + lane].fault_flip_mant_bit(bit as usize);
         #[cfg(not(feature = "fault-inject"))]
-        let _ = bit;
+        let _ = (reg, lane, bit);
+    }
+}
+
+impl CsBank for PlaneBank {
+    fn banks<'s>(t: &Tape, s: &'s mut TapeScratch) -> (&'s mut [f64], &'s mut Self, &'s mut Units) {
+        s.planes
+            .configure(t.n_cs_regs, &[t.pcs_format, t.fcs_format]);
+        (&mut s.f, &mut s.planes, &mut s.units)
+    }
+    fn ieee_to_cs(&mut self, dst: usize, fmt: CsFmaFormat, src: &[f64]) {
+        self.load_f64(dst, fmt, src);
+    }
+    fn cs_to_ieee(&mut self, src: usize, dst: &mut [f64]) {
+        self.gather_lanes(src, dst.len(), |k, op| {
+            dst[k] = op.to_ieee(F, Round::NearestEven).to_f64();
+        });
+    }
+    fn flip(&mut self, reg: usize, lane: usize, bit: u32) {
+        #[cfg(feature = "fault-inject")]
+        self.fault_flip_mant_bit(reg, lane, bit as usize);
+        #[cfg(not(feature = "fault-inject"))]
+        let _ = (reg, lane, bit);
     }
 }
 
@@ -1512,7 +1553,7 @@ fn b_operand(v: f64, negate: bool) -> SoftFloat {
 pub(crate) struct F64;
 
 impl Semantics for F64 {
-    type Cs = f64;
+    type Cs = Vec<f64>;
     fn input(v: f64) -> f64 {
         v
     }
@@ -1531,15 +1572,16 @@ impl Semantics for F64 {
         _i: usize,
         op: FmaLanes,
         f: &[f64],
-        cs: &mut [f64],
+        cs: &mut Vec<f64>,
         _u: &mut Units,
         _faults: Option<&mut ChunkFaults<'_>>,
     ) {
         // no carry-save datapath, so nothing to check
+        let [d, a, c] = [op.dst, op.acc, op.mulc].map(|r| r * CHUNK_ROWS);
         for k in 0..op.len {
             let b = f[op.b + k];
             let bv = if op.negate_b { -b } else { b };
-            cs[op.dst + k] = bv.mul_add(cs[op.mulc + k], cs[op.acc + k]);
+            cs[d + k] = bv.mul_add(cs[c + k], cs[a + k]);
         }
     }
 }
@@ -1547,11 +1589,12 @@ impl Semantics for F64 {
 /// Bit-accurate semantics, bit-identical to
 /// [`eval_bit_accurate`](crate::interp::eval_bit_accurate): IEEE
 /// operators on the host FPU through the guarded soft-float fast path,
-/// fused nodes on the behavioral carry-save units.
+/// fused nodes on the behavioral carry-save units over a bank of
+/// bit-plane registers.
 pub(crate) struct Bit;
 
 impl Semantics for Bit {
-    type Cs = CsOperand;
+    type Cs = PlaneBank;
     fn input(v: f64) -> f64 {
         sfb::canonicalize(v)
     }
@@ -1568,57 +1611,58 @@ impl Semantics for Bit {
             IeeeOp::Neg => sfb::hosted_neg(x),
         }
     }
-    /// Three ways to run a fused instruction, all bit-identical: checked
-    /// per lane with the lane's fault hook (robust mode — never the
-    /// plane kernel, which robust mode runs as a shadow instead), the
-    /// bit-plane kernel on a chunk of at least `PLANE_MIN_LANES`
-    /// lanes (full or ragged), or the unit lane by lane with one shared
-    /// [`FmaScratch`].
+    /// Three ways to run a fused instruction, all bit-identical: the
+    /// bit-plane kernel straight on the plane registers, for a chunk of
+    /// at least `PLANE_MIN_LANES` lanes (full or ragged); or lane by lane
+    /// on the scalar unit, gathering `A` and `C` from the planes and
+    /// scattering the result back — checked with the lane's fault hook
+    /// in robust mode (never the plane kernel, which robust mode runs as
+    /// a shadow instead), plain with one shared [`FmaScratch`] otherwise.
     fn fma(
         t: &Tape,
         i: usize,
         op: FmaLanes,
         f: &[f64],
-        cs: &mut [CsOperand],
+        cs: &mut PlaneBank,
         u: &mut Units,
-        faults: Option<&mut ChunkFaults<'_>>,
+        mut faults: Option<&mut ChunkFaults<'_>>,
     ) {
         let unit = match op.kind {
             FmaKind::Pcs => &u.pcs,
             FmaKind::Fcs => &u.fcs,
         };
         let len = op.len;
-        if let Some(fl) = faults {
-            for k in 0..len {
-                let bv = b_operand(f[op.b + k], op.negate_b);
-                let mut dets: Vec<FaultDetected> = Vec::new();
-                let mut ctl = match &fl.hooks[k] {
-                    Some(h) => FmaCtl::with_hook(h, &mut dets),
-                    None => FmaCtl::checked(&mut dets),
-                };
-                let (r, _) = unit.fma_checked_with(
-                    &cs[op.acc + k],
-                    &bv,
-                    &cs[op.mulc + k],
-                    &mut u.fma,
-                    &mut ctl,
-                );
-                fl.findings[k].extend(dets.into_iter().map(|d| (i, d)));
-                cs[op.dst + k] = r;
-            }
-        } else if len >= PLANE_MIN_LANES && t.plane_eligible.get(i).copied().unwrap_or(false) {
+        let plane = faults.is_none()
+            && len >= PLANE_MIN_LANES
+            && t.plane_eligible.get(i).copied().unwrap_or(false);
+        if plane {
             u.b_lane.clear();
             u.b_lane
                 .extend((0..len).map(|k| b_operand(f[op.b + k], op.negate_b)));
             let (b, plane) = (&u.b_lane, &mut u.plane);
-            csfma_core::plane_fma_chunk(unit, cs, op.acc, op.mulc, op.dst, b, len, plane);
-        } else {
+            csfma_core::plane_fma(unit, cs, op.acc, op.mulc, op.dst, b, len, plane);
+            return;
+        }
+        if faults.is_none() {
             csfma_core::count_plane_fallback(len);
-            for k in 0..len {
-                let bv = b_operand(f[op.b + k], op.negate_b);
-                let r = unit.fma_with(&cs[op.acc + k], &bv, &cs[op.mulc + k], &mut u.fma);
-                cs[op.dst + k] = r;
-            }
+        }
+        for k in 0..len {
+            let bv = b_operand(f[op.b + k], op.negate_b);
+            let (a, c) = (cs.gather(op.acc, k), cs.gather(op.mulc, k));
+            let r = match faults.as_deref_mut() {
+                None => unit.fma_with(&a, &bv, &c, &mut u.fma),
+                Some(fl) => {
+                    let mut dets: Vec<FaultDetected> = Vec::new();
+                    let mut ctl = match &fl.hooks[k] {
+                        Some(h) => FmaCtl::with_hook(h, &mut dets),
+                        None => FmaCtl::checked(&mut dets),
+                    };
+                    let (r, _) = unit.fma_checked_with(&a, &bv, &c, &mut u.fma, &mut ctl);
+                    fl.findings[k].extend(dets.into_iter().map(|d| (i, d)));
+                    r
+                }
+            };
+            cs.scatter(op.dst, k, &r);
         }
     }
 }
@@ -1626,12 +1670,14 @@ impl Semantics for Bit {
 /// Oracle semantics ([`TapeBackend::Oracle`]): every IEEE operator runs
 /// the full soft-float stack (no hosted fast path, no promotion, no
 /// shared [`FmaScratch`]) and fused nodes call the allocating
-/// [`CsFmaUnit::fma`] — the slowest, most literal replay of the model,
-/// independent by operator stack of the fast semantics it backstops.
+/// [`CsFmaUnit::fma`] on a bank of one [`CsOperand`] per lane — the
+/// slowest, most literal replay of the model, independent by operator
+/// stack and register representation of the fast semantics it
+/// backstops.
 pub(crate) struct Oracle;
 
 impl Semantics for Oracle {
-    type Cs = CsOperand;
+    type Cs = Vec<CsOperand>;
     fn input(v: f64) -> f64 {
         SoftFloat::from_f64(F, v).to_f64()
     }
@@ -1651,7 +1697,7 @@ impl Semantics for Oracle {
         _i: usize,
         op: FmaLanes,
         f: &[f64],
-        cs: &mut [CsOperand],
+        cs: &mut Vec<CsOperand>,
         u: &mut Units,
         faults: Option<&mut ChunkFaults<'_>>,
     ) {
@@ -1660,10 +1706,11 @@ impl Semantics for Oracle {
             FmaKind::Pcs => &u.pcs,
             FmaKind::Fcs => &u.fcs,
         };
+        let [d, a, c] = [op.dst, op.acc, op.mulc].map(|r| r * CHUNK_ROWS);
         for k in 0..op.len {
             let bv = b_operand(f[op.b + k], op.negate_b);
-            let r = unit.fma(&cs[op.acc + k], &bv, &cs[op.mulc + k]);
-            cs[op.dst + k] = r;
+            let r = unit.fma(&cs[a + k], &bv, &cs[c + k]);
+            cs[d + k] = r;
         }
     }
 }
@@ -2465,6 +2512,41 @@ mod tests {
                 "Store must map back to the source Output node"
             );
         }
+    }
+
+    /// The compile gate refuses a cross-kind carry-save edge (`D003`);
+    /// a tape lowered past the gate is refused again by the tape
+    /// validator, `T004` at the FMA that reads the PCS register.
+    #[test]
+    fn cross_kind_graph_is_d003_and_its_ungated_tape_is_t004() {
+        let mut g = Cdfg::new();
+        let (a, b, c) = (g.input("a"), g.input("b"), g.input("c"));
+        let acc = g.push(Op::IeeeToCs(FmaKind::Pcs), vec![a]);
+        let mulc = g.push(Op::IeeeToCs(FmaKind::Fcs), vec![c]);
+        let fma = g.push_unchecked(
+            Op::Fma {
+                kind: FmaKind::Fcs,
+                negate_b: false,
+            },
+            vec![acc, b, mulc],
+        );
+        let back = g.push_unchecked(Op::CsToIeee(FmaKind::Fcs), vec![fma]);
+        g.push_unchecked(Op::Output("y".into()), vec![back]);
+        let err = compile(&g).unwrap_err();
+        assert!(err
+            .diagnostics
+            .iter()
+            .all(|d| d.rule == Rule::DomainMismatch));
+        let tape = lower(&g, CsFmaFormat::PCS_55_ZD, CsFmaFormat::FCS_29_LZA);
+        let diags = crate::lint::verify_tape(&tape, &g);
+        let fma_instr = tape
+            .instrs()
+            .iter()
+            .position(|i| matches!(i, Instr::Fma { .. }))
+            .unwrap();
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].rule, Rule::TapeCsKindMismatch);
+        assert_eq!(diags[0].span, Span::Instr(fma_instr));
     }
 
     #[test]

@@ -523,10 +523,10 @@ pub fn fuse_critical_paths(g: &Cdfg, cfg: &FusionConfig) -> FusionReport {
 /// consistent and every FMA is conversion-wrapped or chained.
 pub fn domains_consistent(g: &Cdfg) -> bool {
     g.nodes().iter().all(|n| match &n.op {
-        Op::Fma { .. } => {
-            g.nodes()[n.args[0]].op.domain() == Domain::Cs
+        Op::Fma { kind, .. } => {
+            g.nodes()[n.args[0]].op.domain() == Domain::Cs(*kind)
                 && g.nodes()[n.args[1]].op.domain() == Domain::Ieee
-                && g.nodes()[n.args[2]].op.domain() == Domain::Cs
+                && g.nodes()[n.args[2]].op.domain() == Domain::Cs(*kind)
         }
         _ => true,
     })

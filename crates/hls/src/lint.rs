@@ -31,19 +31,20 @@ pub fn resource_tag(kind: ResourceKind) -> &'static str {
 fn check_domain(d: Domain) -> verify::Domain {
     match d {
         Domain::Ieee => verify::Domain::Ieee,
-        Domain::Cs => verify::Domain::Cs,
+        Domain::Cs(k) => verify::Domain::Cs(cs_kind(k)),
     }
 }
 
-/// Expected domain of each argument port of `op` — the same contract
-/// `Cdfg::validate` enforces, expressed as data.
+/// Expected domain of each argument port of `op` — the contract
+/// `Cdfg::validate` enforces. Carry-save ports expect the node's own
+/// FMA kind.
 pub fn port_domains(op: &Op) -> Vec<Domain> {
-    match op {
+    match *op {
         Op::Input(_) | Op::Const(_) => vec![],
         Op::Neg | Op::Output(_) | Op::IeeeToCs(_) => vec![Domain::Ieee],
-        Op::CsToIeee(_) => vec![Domain::Cs],
+        Op::CsToIeee(k) => vec![Domain::Cs(k)],
         Op::Add | Op::Sub | Op::Mul | Op::Div => vec![Domain::Ieee, Domain::Ieee],
-        Op::Fma { .. } => vec![Domain::Cs, Domain::Ieee, Domain::Cs],
+        Op::Fma { kind, .. } => vec![Domain::Cs(kind), Domain::Ieee, Domain::Cs(kind)],
     }
 }
 
@@ -81,7 +82,9 @@ pub fn to_check_graph(g: &Cdfg, t: &OpTiming) -> verify::Graph {
             .with_resource(resource_tag(resource_kind(&n.op)))
             .with_role(role);
         node = match &n.op {
-            Op::IeeeToCs(k) => node.with_conversion(format_of(*k).name, verify::Domain::Cs),
+            Op::IeeeToCs(k) => {
+                node.with_conversion(format_of(*k).name, verify::Domain::Cs(cs_kind(*k)))
+            }
             Op::CsToIeee(k) => node.with_conversion(format_of(*k).name, verify::Domain::Ieee),
             _ => node,
         };

@@ -44,7 +44,7 @@
 //! upsets anyway; campaigns report the rest as the undetected remainder
 //! (DESIGN.md §10.4).
 
-use crate::compile::{Bit, CsSlot, Instr, Tape, TapeBackend, TapeScratch, F64};
+use crate::compile::{flip_f64, Bit, CsBank, Instr, Tape, TapeBackend, TapeScratch, F64};
 use csfma_core::batch::{par_chunks_indexed, CHUNK_ROWS};
 use csfma_core::fault::{CheckKind, FaultDetected, FaultHook, FaultPlan, FaultStage, RowFaults};
 use csfma_verify::{Diagnostic, Rule, Span};
@@ -192,22 +192,22 @@ pub(crate) struct ChunkFaults<'p> {
 }
 
 impl ChunkFaults<'_> {
-    /// Apply every lane's register-plane upset that strikes right after
+    /// Apply every lane's register upset that strikes right after
     /// instruction `i`: flip one bit of the lane's destination register
-    /// (a `Store` writes caller memory, not a register — masked).
-    pub(crate) fn strike_registers<C: CsSlot>(
+    /// — in a carry-save register, one bit of a mantissa-sum plane (a
+    /// `Store` writes caller memory, not a register — masked).
+    pub(crate) fn strike_registers<C: CsBank>(
         &self,
         i: usize,
         ins: &Instr,
         f: &mut [f64],
-        cs: &mut [C],
+        cs: &mut C,
     ) {
         for (k, upset) in self.upsets.iter().enumerate() {
             let Some((at, bit)) = *upset else { continue };
             if at != i {
                 continue;
             }
-            let slot = |r: u32| r as usize * CHUNK_ROWS + k;
             match *ins {
                 Instr::LoadInput { dst, .. }
                 | Instr::LoadConst { dst, .. }
@@ -216,8 +216,12 @@ impl ChunkFaults<'_> {
                 | Instr::Mul { dst, .. }
                 | Instr::Div { dst, .. }
                 | Instr::Neg { dst, .. }
-                | Instr::CsToIeee { dst, .. } => f[slot(dst)].flip(bit),
-                Instr::Fma { dst, .. } | Instr::IeeeToCs { dst, .. } => cs[slot(dst)].flip(bit),
+                | Instr::CsToIeee { dst, .. } => {
+                    flip_f64(&mut f[dst as usize * CHUNK_ROWS + k], bit)
+                }
+                Instr::Fma { dst, .. } | Instr::IeeeToCs { dst, .. } => {
+                    cs.flip(dst as usize, k, bit)
+                }
                 Instr::Store { .. } => {}
             }
         }

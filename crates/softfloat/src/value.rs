@@ -122,6 +122,13 @@ impl SoftFloat {
         if v == 0.0 || v.is_subnormal() {
             return SoftFloat::zero(format, v.is_sign_negative());
         }
+        if format == FpFormat::BINARY64 {
+            // a normal binary64 value is exact in its own format: the
+            // rounding below would return its fields unchanged
+            let bits = v.to_bits();
+            let exp = ((bits >> 52) & 0x7ff) as i32 - 1023;
+            return SoftFloat::from_parts(format, v < 0.0, exp, bits & ((1 << 52) - 1));
+        }
         let e = ExactFloat::from_f64(v);
         SoftFloat::from_rounded(format, e.round(format, Round::NearestEven))
     }
@@ -145,6 +152,10 @@ impl SoftFloat {
                     0.0
                 }
             }
+            // binary64 fields are the host's: reassemble them exactly
+            FpClass::Normal if self.format == FpFormat::BINARY64 => f64::from_bits(
+                (self.sign as u64) << 63 | ((self.exp + 1023) as u64) << 52 | self.frac,
+            ),
             FpClass::Normal => self.to_exact().to_f64_lossy(),
         }
     }
@@ -325,6 +336,37 @@ mod tests {
         assert!(SoftFloat::from_f64(FpFormat::BINARY64, f64::NAN)
             .to_f64()
             .is_nan());
+    }
+
+    /// The binary64 field decode and reassembly equal the general
+    /// rounding and exact-value paths on every normal double: both ends of the exponent range, all-ones
+    /// and empty fractions, and a sweep of bit patterns.
+    #[test]
+    fn binary64_decode_matches_rounding_path() {
+        let f = FpFormat::BINARY64;
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut values = vec![
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            -f64::MAX,
+            1.0,
+            -1.9999999999999998,
+        ];
+        for _ in 0..20_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            values.push(f64::from_bits(state));
+        }
+        for v in values.into_iter().filter(|v| v.is_normal()) {
+            let want =
+                SoftFloat::from_rounded(f, ExactFloat::from_f64(v).round(f, Round::NearestEven));
+            assert_eq!(SoftFloat::from_f64(f, v), want, "{v:e}");
+            assert_eq!(
+                want.to_f64().to_bits(),
+                want.to_exact().to_f64_lossy().to_bits()
+            );
+        }
     }
 
     #[test]

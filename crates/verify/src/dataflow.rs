@@ -10,7 +10,8 @@
 //!   breaks acyclicity);
 //! * **D003 domain-mismatch** — a producer's result domain differs from
 //!   the consuming port's expected domain (an IEEE adder fed a raw
-//!   carry-save value, or a CS-domain FMA port fed a packed IEEE word);
+//!   carry-save value, a CS-domain FMA port fed a packed IEEE word, or a
+//!   carry-save value of one FMA kind fed to a port of the other);
 //! * **D004 redundant-conversion** — a conversion that immediately
 //!   cancels against the conversion producing its input within the same
 //!   unit format, or that duplicates a sibling conversion of the same
@@ -172,7 +173,9 @@ fn check_liveness(g: &Graph, diags: &mut Vec<Diagnostic>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{Domain, Node, Role};
+    use crate::graph::{CsKind, Domain, Node, Role};
+
+    const PCS: CsKind = CsKind::Pcs;
 
     fn input(g: &mut Graph) -> usize {
         g.push(Node::new("Input", Domain::Ieee).with_role(Role::Source))
@@ -206,9 +209,9 @@ mod tests {
         let mut g = Graph::new();
         let a = input(&mut g);
         let cs = g.push(
-            Node::new("IeeeToCs", Domain::Cs)
+            Node::new("IeeeToCs", Domain::Cs(PCS))
                 .with_args(vec![a], vec![Domain::Ieee])
-                .with_conversion("pcs-55-zd", Domain::Cs),
+                .with_conversion("pcs-55-zd", Domain::Cs(PCS)),
         );
         // Add expects IEEE on both ports but gets the raw CS value.
         let s = g.push(
@@ -227,6 +230,45 @@ mod tests {
                     && d.span == Span::Edge { user: s, arg: 1 }),
             "{diags:?}"
         );
+    }
+
+    /// `Fma{Fcs}(IeeeToCs(Pcs)(a), b, IeeeToCs(Fcs)(c))`: the addend
+    /// edge carries a PCS value into an FCS port.
+    #[test]
+    fn cross_kind_carry_save_edge_is_d003() {
+        const FCS: CsKind = CsKind::Fcs;
+        let mut g = Graph::new();
+        let a = input(&mut g);
+        let to_cs = |g: &mut Graph, k: CsKind| {
+            g.push(
+                Node::new("IeeeToCs", Domain::Cs(k))
+                    .with_args(vec![a], vec![Domain::Ieee])
+                    .with_conversion(format!("{k}"), Domain::Cs(k)),
+            )
+        };
+        let (acc, mulc) = (to_cs(&mut g, PCS), to_cs(&mut g, FCS));
+        let fma = g.push(Node::new("Fma", Domain::Cs(FCS)).with_args(
+            vec![acc, a, mulc],
+            vec![Domain::Cs(FCS), Domain::Ieee, Domain::Cs(FCS)],
+        ));
+        let back = g.push(
+            Node::new("CsToIeee", Domain::Ieee)
+                .with_args(vec![fma], vec![Domain::Cs(FCS)])
+                .with_conversion("FCS", Domain::Ieee),
+        );
+        g.push(
+            Node::new("Output", Domain::Ieee)
+                .with_args(vec![back], vec![Domain::Ieee])
+                .with_role(Role::Sink),
+        );
+        let diags = check_dataflow(&g);
+        let d003: Vec<_> = diags
+            .iter()
+            .filter(|d| d.rule == Rule::DomainMismatch)
+            .collect();
+        assert_eq!(d003.len(), 1, "{diags:?}");
+        assert_eq!(d003[0].span, Span::Edge { user: fma, arg: 0 });
+        assert!(d003[0].message.contains("CS(FCS)") && d003[0].message.contains("CS(PCS)"));
     }
 
     #[test]
@@ -263,13 +305,13 @@ mod tests {
         let mut g = Graph::new();
         let a = input(&mut g);
         let to_cs = g.push(
-            Node::new("IeeeToCs", Domain::Cs)
+            Node::new("IeeeToCs", Domain::Cs(PCS))
                 .with_args(vec![a], vec![Domain::Ieee])
-                .with_conversion("pcs-55-zd", Domain::Cs),
+                .with_conversion("pcs-55-zd", Domain::Cs(PCS)),
         );
         let back = g.push(
             Node::new("CsToIeee", Domain::Ieee)
-                .with_args(vec![to_cs], vec![Domain::Cs])
+                .with_args(vec![to_cs], vec![Domain::Cs(PCS)])
                 .with_conversion("pcs-55-zd", Domain::Ieee),
         );
         g.push(

@@ -38,8 +38,8 @@ pub enum Rule {
     /// D002: an argument refers to a later (or nonexistent) node — the
     /// graph is cyclic or dangling.
     EdgeOrder,
-    /// D003: an edge crosses value domains (IEEE vs carry-save) without
-    /// a conversion.
+    /// D003: an edge crosses value domains (IEEE vs carry-save, or
+    /// carry-save of the other FMA kind) without a conversion.
     DomainMismatch,
     /// D004: a format conversion that cancels against its producer or
     /// duplicates a sibling — the Fig. 12c elimination missed it.

@@ -9,20 +9,42 @@
 //! also build views by hand to seed specific violations.
 
 /// Value domain carried on an edge: IEEE 754 binary interchange or the
-/// redundant carry-save transport format.
+/// redundant carry-save transport format of one FMA kind. Carry-save
+/// values of different kinds are different domains: PCS and FCS
+/// operands have different carry geometries and widths, so an edge
+/// between them is as wrong as an unconverted IEEE word.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Domain {
     /// IEEE 754 packed operand.
     Ieee,
-    /// Carry-save / partial-carry-save redundant operand.
-    Cs,
+    /// Carry-save / partial-carry-save redundant operand of one kind.
+    Cs(CsKind),
 }
 
 impl std::fmt::Display for Domain {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Domain::Ieee => write!(f, "IEEE"),
-            Domain::Cs => write!(f, "CS"),
+            Domain::Cs(k) => write!(f, "CS({k})"),
+        }
+    }
+}
+
+/// Carry-save transport family of a value or instruction. Mirrors
+/// `csfma_hls::FmaKind` without depending on it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum CsKind {
+    /// Packed carry-save (explicit carries at fixed spacing).
+    Pcs,
+    /// Full carry-save (one carry per digit).
+    Fcs,
+}
+
+impl std::fmt::Display for CsKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CsKind::Pcs => write!(f, "PCS"),
+            CsKind::Fcs => write!(f, "FCS"),
         }
     }
 }

@@ -51,8 +51,8 @@ pub mod widths;
 
 pub use dataflow::check_dataflow;
 pub use diag::{has_errors, render_json, render_report, Diagnostic, Rule, Severity, Span};
-pub use graph::{Conversion, Domain, Graph, Node, Role, ScheduleView};
+pub use graph::{Conversion, CsKind, Domain, Graph, Node, Role, ScheduleView};
 pub use hazard::check_schedule;
 pub use range::{analyze_ranges, Interval, RangeDecl, RangeReport};
-pub use tape::{check_tape, CsKind, SourceView, SrcNode, SrcOp, TapeInstr, TapeView};
+pub use tape::{check_tape, SourceView, SrcNode, SrcOp, TapeInstr, TapeView};
 pub use widths::{check_format, check_standard_formats, window_plan, WindowPlan};

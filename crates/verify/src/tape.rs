@@ -40,25 +40,7 @@
 //!   all-constant source subtree its provenance points at.
 
 use crate::diag::{Diagnostic, Rule, Span};
-
-/// Carry-save transport family of a value or instruction. Mirrors
-/// `csfma_hls::FmaKind` without depending on it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CsKind {
-    /// Packed carry-save (explicit carries at fixed spacing).
-    Pcs,
-    /// Full carry-save (one carry per digit).
-    Fcs,
-}
-
-impl std::fmt::Display for CsKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CsKind::Pcs => write!(f, "PCS"),
-            CsKind::Fcs => write!(f, "FCS"),
-        }
-    }
-}
+pub use crate::graph::CsKind;
 
 /// Normalized source-graph operation (mirrors `csfma_hls::Op`).
 #[derive(Clone, Debug, PartialEq)]

@@ -12,9 +12,11 @@
 //! * proptests over full-chunk, partial-chunk and single-row batches,
 //!   both at the kernel and through the compiled tape.
 
-use csfma::core::{plane_fma_chunk, CsFmaFormat, CsFmaUnit, CsOperand, FmaScratch, PlaneScratch};
+use csfma::core::{
+    plane_fma_chunk, CsFmaFormat, CsFmaUnit, CsOperand, FmaScratch, PlaneBank, PlaneScratch,
+};
 use csfma::prelude::{FmaKind, FusionConfig, Round, SoftFloat, TapeBackend};
-use csfma::softfloat::FpFormat;
+use csfma::softfloat::{FpClass, FpFormat};
 use proptest::prelude::*;
 
 const FORMATS: [CsFmaFormat; 5] = [
@@ -248,5 +250,121 @@ fn plane_results_convert_to_identical_ieee() {
                 .to_bits(),
             "lane {k} IEEE conversion diverged"
         );
+    }
+}
+
+/// Every field of a lane operand, compared exactly: class, sign hint,
+/// exponent, and the widths and bits of both mantissa and rounding
+/// words.
+fn assert_identical(got: &CsOperand, want: &CsOperand, what: &str) {
+    assert_eq!(got.format(), want.format(), "{what}: format");
+    assert_eq!(got.class(), want.class(), "{what}: class");
+    assert_eq!(got.sign_hint(), want.sign_hint(), "{what}: sign hint");
+    assert_eq!(got.exp(), want.exp(), "{what}: exponent");
+    assert_eq!(got.mant().sum(), want.mant().sum(), "{what}: mant sum");
+    assert_eq!(
+        got.mant().carry(),
+        want.mant().carry(),
+        "{what}: mant carry"
+    );
+    assert_eq!(got.round().sum(), want.round().sum(), "{what}: round sum");
+    assert_eq!(
+        got.round().carry(),
+        want.round().carry(),
+        "{what}: round carry"
+    );
+}
+
+/// Every operand shape the engines produce in `fmt`: `IeeeToCs` of the
+/// special-value matrix, and `fma_with` results over all matrix pairings
+/// — which include the Zero/Inf/NaN early returns (NaN inputs,
+/// `Inf * 0`, `Inf - Inf`, zero products returning the addend) and
+/// chained, non-canonical carry-save results.
+fn engine_shapes(fmt: CsFmaFormat) -> Vec<CsOperand> {
+    let unit = CsFmaUnit::new(fmt);
+    let mut fs = FmaScratch::default();
+    let conv: Vec<CsOperand> = MATRIX
+        .iter()
+        .map(|&v| CsOperand::from_f64(v, fmt))
+        .collect();
+    let mut shapes = conv.clone();
+    for (i, a) in conv.iter().enumerate() {
+        for (j, c) in conv.iter().enumerate() {
+            let b = SoftFloat::from_f64(FpFormat::BINARY64, MATRIX[(i + j) % MATRIX.len()]);
+            let r = unit.fma_with(a, &b, c, &mut fs);
+            shapes.push(unit.fma_with(&r, &b, c, &mut fs));
+            shapes.push(r);
+        }
+    }
+    shapes
+}
+
+/// Plane registers hold every operand shape exactly: scattering a lane
+/// and gathering it back — one lane at a time or through the
+/// whole-register transposes — returns the operand unchanged, and the
+/// register's `IeeeToCs` conversion builds the same lanes as
+/// `CsOperand::from_f64`.
+#[test]
+fn plane_registers_round_trip_every_engine_shape() {
+    for fmt in [CsFmaFormat::PCS_55_ZD, CsFmaFormat::FCS_29_LZA] {
+        let mut bank = PlaneBank::default();
+        bank.configure(2, &[CsFmaFormat::PCS_55_ZD, CsFmaFormat::FCS_29_LZA]);
+        let shapes = engine_shapes(fmt);
+        for class in [FpClass::Normal, FpClass::Zero, FpClass::Inf, FpClass::Nan] {
+            assert!(shapes.iter().any(|s| s.class() == class), "{class:?} shape");
+        }
+        assert!(shapes.iter().any(|s| !s.round().is_canonical_zero()));
+        assert!(shapes.iter().any(|s| !s.mant().carry().is_zero()));
+        for (n, group) in shapes.chunks(64).enumerate() {
+            for (k, op) in group.iter().enumerate() {
+                bank.scatter(0, k, op);
+            }
+            for (k, op) in group.iter().enumerate() {
+                assert_identical(&bank.gather(0, k), op, &format!("{} #{n}/{k}", fmt.name));
+            }
+            bank.gather_lanes(0, group.len(), |k, got| {
+                assert_identical(&got, &group[k], &format!("{} lanes #{n}/{k}", fmt.name));
+            });
+        }
+        bank.load_f64(1, fmt, &MATRIX);
+        for (k, &v) in MATRIX.iter().enumerate() {
+            let want = CsOperand::from_f64(v, fmt);
+            assert_identical(
+                &bank.gather(1, k),
+                &want,
+                &format!("{} IeeeToCs {k}", fmt.name),
+            );
+        }
+    }
+}
+
+/// A `tape-reg` strike on a plane register is one plane-bit flip: it
+/// equals `fault_flip_mant_bit` on the gathered lane, for every shape
+/// and position. Under a `Zero`/`Inf`/`NaN` class the flip is
+/// architecturally masked — the operand's IEEE value does not change.
+#[test]
+fn plane_register_flip_equals_lane_flip() {
+    for fmt in [CsFmaFormat::PCS_55_ZD, CsFmaFormat::FCS_29_LZA] {
+        let mut bank = PlaneBank::default();
+        bank.configure(1, &[fmt]);
+        for (n, op) in engine_shapes(fmt).iter().enumerate().step_by(7) {
+            for pos in [0usize, 13, fmt.mant_bits() - 1, fmt.mant_bits() + 5, 1000] {
+                let k = (n + pos) % 64;
+                bank.scatter(0, k, op);
+                bank.fault_flip_mant_bit(0, k, pos);
+                let mut want = op.clone();
+                want.fault_flip_mant_bit(pos);
+                let got = bank.gather(0, k);
+                assert_identical(&got, &want, &format!("{} #{n} bit {pos}", fmt.name));
+                if op.class() != FpClass::Normal {
+                    let ieee = |x: &CsOperand| {
+                        x.to_ieee(FpFormat::BINARY64, Round::NearestEven)
+                            .to_f64()
+                            .to_bits()
+                    };
+                    assert_eq!(ieee(&got), ieee(op), "{} #{n}: masked flip", fmt.name);
+                }
+            }
+        }
     }
 }

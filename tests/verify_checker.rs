@@ -122,6 +122,45 @@ fn mutation_domain_mismatched_edge_fires_d003() {
     assert!(own.iter().any(|d| d.rule == Rule::DomainMismatch));
 }
 
+/// Pass 1 mutation, carry-save kinds: `Fma{Fcs}(IeeeToCs(Pcs)(a), b,
+/// IeeeToCs(Fcs)(c))` feeds a PCS operand into an FCS unit. The CS
+/// domain carries its FMA kind, so the addend edge is `D003`; the graph
+/// validator and the compile gate refuse the graph instead of lowering a
+/// tape whose FCS unit would read PCS registers.
+#[test]
+fn mutation_cross_kind_carry_save_edge_fires_d003() {
+    let t = OpTiming::default();
+    let mut g = Cdfg::new();
+    let (a, b, c) = (g.input("a"), g.input("b"), g.input("c"));
+    let acc = g.push(Op::IeeeToCs(FmaKind::Pcs), vec![a]);
+    let mulc = g.push(Op::IeeeToCs(FmaKind::Fcs), vec![c]);
+    let fma = g.push_unchecked(
+        Op::Fma {
+            kind: FmaKind::Fcs,
+            negate_b: false,
+        },
+        vec![acc, b, mulc],
+    );
+    let back = g.push_unchecked(Op::CsToIeee(FmaKind::Fcs), vec![fma]);
+    g.push_unchecked(Op::Output("y".into()), vec![back]);
+
+    let diags = lint_dataflow(&g, &t);
+    let d003: Vec<_> = diags
+        .iter()
+        .filter(|d| d.rule == Rule::DomainMismatch)
+        .collect();
+    assert_eq!(d003.len(), 1, "{}", render_report(&diags));
+    assert_eq!(d003[0].severity, Severity::Error);
+    assert_eq!(d003[0].span, csfma_verify::Span::Edge { user: fma, arg: 0 });
+    let own = g.validate_diagnostics().unwrap_err();
+    assert!(own.iter().any(|d| d.rule == Rule::DomainMismatch));
+    let err = compile(&g).expect_err("a cross-kind graph must not compile");
+    assert!(err
+        .diagnostics
+        .iter()
+        .any(|d| d.rule == Rule::DomainMismatch));
+}
+
 /// Pass 2 mutation: a hand-built schedule that fires the adder before the
 /// multiplier's 5-cycle latency has elapsed must trip `S001
 /// premature-start`, and overloading one multiplier must trip `S003`.
